@@ -141,6 +141,8 @@ pub struct Ctx {
     /// registry entry and this handle are the same counter, so reports and
     /// exporters read the value the worker loop increments.
     pub(crate) executions: Arc<obs::Counter>,
+    /// Kernel descriptors declared through [`Ctx::watch_fd`].
+    pub(crate) wait_fds: Vec<i32>,
 }
 
 impl Ctx {
@@ -254,11 +256,7 @@ impl Ctx {
         &self.costs
     }
 
-    /// The deployment's idle policy. System actors that run their own
-    /// blocking waits (the enet READER/WRITER parking inside
-    /// `epoll_wait` / `io_uring_enter`) read
-    /// [`crate::config::IdlePolicy::net_park_cap`] from here instead of
-    /// hard-coding a cap.
+    /// The deployment's idle policy.
     pub fn idle_policy(&self) -> crate::config::IdlePolicy {
         self.idle
     }
@@ -276,13 +274,32 @@ impl Ctx {
         self.wake.sleepers()
     }
 
-    /// The runtime's wake hub. System actors that block on an external
-    /// channel (e.g. a network reader parking inside `epoll_wait`) use
-    /// this to register a [`crate::wake::HubWaker`] and to take part in
-    /// the eventcount handshake (`prepare_park` / `cancel_park`) so that
-    /// message enqueues interrupt their wait.
+    /// The runtime's wake hub, for waking parked workers on a condition
+    /// no mbox carries ([`crate::wake::WakeHub::notify`]). Actors never
+    /// park on it: a body must not block, and an actor that also waits
+    /// for a kernel object hands the descriptor to its worker with
+    /// [`Ctx::watch_fd`] instead.
     pub fn wake_hub(&self) -> &Arc<crate::wake::WakeHub> {
         &self.wake
+    }
+
+    /// Declare, once and from [`Actor::ctor`], a pollable kernel object
+    /// (an io_uring or epoll descriptor) this actor takes input from
+    /// besides its mboxes. The worker executing the actor adds `fd` to
+    /// the single wait it blocks in when all its actors are idle, so the
+    /// descriptor turning readable wakes the worker exactly like a
+    /// message enqueue does; the body then finds the event with a
+    /// non-blocking poll. `fd` must stay open as long as the actor
+    /// lives.
+    ///
+    /// An actor that declares its descriptors is *event-driven*: every
+    /// input either arrives through an mbox or makes a declared
+    /// descriptor readable. A worker whose live actors are all
+    /// event-driven sleeps up to
+    /// [`crate::config::IdlePolicy::net_park_cap`]; any other worker is
+    /// bounded by [`crate::config::IdlePolicy::park_timeout`].
+    pub fn watch_fd(&mut self, fd: i32) {
+        self.wait_fds.push(fd);
     }
 
     /// The deployment's observability hub: trace-ring registry plus the

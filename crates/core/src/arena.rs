@@ -99,10 +99,11 @@ thread_local! {
     static WORKER_TOKEN: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Mark the current thread as a runtime worker (fresh unique token).
-pub(crate) fn set_worker_token() {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    let token = NEXT.fetch_add(1, Ordering::Relaxed);
+/// Mark the current thread as a runtime worker. `token` is non-zero and
+/// unique to the worker ([`crate::wake::WakeHub::worker_token`]): the
+/// single-consumer side of an mbox records it, and sends hand it back
+/// to the wake hub to wake exactly that worker.
+pub(crate) fn set_worker_token(token: u64) {
     let _ = WORKER_TOKEN.try_with(|t| t.set(token));
 }
 
@@ -961,6 +962,14 @@ impl Mbox {
         );
     }
 
+    /// Tell the wake hub a message is queued for whoever drains this
+    /// mbox: the recorded single consumer, or (token 0: MPMC, or nobody
+    /// has received yet) every parked worker.
+    #[inline]
+    fn notify_consumer(&self) {
+        wake::notify_consumer(self.consumer_thread.load(Ordering::Relaxed));
+    }
+
     /// Emit the recv-side trace events for a node we now own.
     #[inline]
     fn trace_recv(&self, idx: u32) {
@@ -1045,7 +1054,7 @@ impl Mbox {
         self.enqueue_pos
             .0
             .store(tail.wrapping_add(1), Ordering::Release);
-        wake::notify_current();
+        self.notify_consumer();
         if traced {
             obs::emit(obs::EventKind::MboxSend, 0, len as u64, 0);
         }
@@ -1071,10 +1080,10 @@ impl Mbox {
                             // touches value until sequence advances.
                             unsafe { *slot.value.get() = node.into_raw() };
                             slot.sequence.store(pos + 1, Ordering::Release);
-                            // Wake any parked worker of this thread's
-                            // runtime — cheap (fence + load) when nobody
-                            // sleeps or the sender is not a worker.
-                            wake::notify_current();
+                            // Wake the consumer's worker if it parked —
+                            // cheap (fence + load) while it runs or when
+                            // the sender is not a worker.
+                            self.notify_consumer();
                             if traced {
                                 obs::emit(obs::EventKind::MboxSend, 0, len as u64, 0);
                             }
@@ -1228,7 +1237,7 @@ impl Mbox {
             unsafe { *slot.value.get() = node.into_raw() };
         }
         self.enqueue_pos.0.store(tail + n, Ordering::Release);
-        wake::notify_current();
+        self.notify_consumer();
         n
     }
 
@@ -1281,7 +1290,7 @@ impl Mbox {
                         unsafe { *slot.value.get() = node.into_raw() };
                         slot.sequence.store(pos + i + 1, Ordering::Release);
                     }
-                    wake::notify_current();
+                    self.notify_consumer();
                     return n;
                 }
                 Err(p) => pos = p,

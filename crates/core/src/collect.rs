@@ -19,10 +19,13 @@ use crate::actor::{Actor, Control, Ctx};
 
 /// System actor that periodically drains all registered trace rings.
 ///
-/// Its body is one [`obs::ObsHub::poll`] call: returns [`Control::Busy`]
-/// while events are flowing (drain again soon — a lagging collector means
-/// dropped events once a ring wraps) and [`Control::Idle`] when every
-/// ring was empty.
+/// Its body is one [`obs::ObsHub::poll`] call and always reports
+/// [`Control::Idle`]: the rings are a *polled* input, so the hosting
+/// worker's [`crate::config::IdlePolicy::park_timeout`] paces the drain
+/// (every pass while a sibling actor is busy, every timeout otherwise).
+/// Reporting `Busy` for a non-empty drain would keep the worker awake
+/// for good — each of its own passes emits the events the next one
+/// finds. Events a full ring turns away are counted as `trace_dropped`.
 #[derive(Debug, Default)]
 pub struct CollectorActor {
     hub: Option<Arc<obs::ObsHub>>,
@@ -45,12 +48,8 @@ impl Actor for CollectorActor {
     }
 
     fn body(&mut self, _ctx: &mut Ctx) -> Control {
-        let hub = self.hub.as_ref().expect("ctor ran before body");
-        if hub.poll() > 0 {
-            Control::Busy
-        } else {
-            Control::Idle
-        }
+        self.hub.as_ref().expect("ctor ran before body").poll();
+        Control::Idle
     }
 }
 

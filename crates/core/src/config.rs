@@ -79,26 +79,34 @@ impl Default for ChannelOptions {
 ///
 /// Workers escalate through three tiers as an idle streak grows: first
 /// **spin** (cheapest resume, keeps the cache hot), then **yield** to the
-/// OS scheduler, and finally **park** on the runtime's wake hub until a
-/// peer's `Mbox::send` wakes them (see [`crate::wake::WakeHub`]). Any
-/// productive pass resets the streak.
+/// OS scheduler, and finally **park** on their slot of the runtime's wake
+/// hub until a peer's `Mbox::send` — or a kernel object one of their
+/// actors declared — wakes them (see [`crate::wake`]). Any productive
+/// pass resets the streak. Only workers park; an actor body never blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdlePolicy {
     /// Idle passes spent spinning before the yield tier.
     pub spin_passes: u32,
     /// Idle passes spent yielding before the park tier.
     pub yield_passes: u32,
-    /// Upper bound on one parked sleep. `None` parks until a wake event —
-    /// only safe when every input of every actor arrives through an mbox.
-    /// Actors that poll sources the mbox layer cannot see (the enet
-    /// READER and ACCEPTER poll simulated sockets) need the bounded
-    /// default so data arriving without a send still gets served.
+    /// Upper bound on one parked sleep of a worker that hosts a *polled*
+    /// actor: one with an input that neither arrives through an mbox nor
+    /// makes a declared descriptor readable (the enet READER and
+    /// ACCEPTER over `SimNet`/`TcpLoopback` poll their sockets; the
+    /// COLLECTOR polls trace rings; any actor that has not called
+    /// [`crate::actor::Ctx::watch_fd`] is treated the same). Nothing can
+    /// wake the worker for such an input, so this timeout is what serves
+    /// it. `None` parks until a wake event — only safe when every input
+    /// of every actor arrives through an mbox.
     pub park_timeout: Option<std::time::Duration>,
-    /// Upper bound on one blocking network wait (`epoll_wait` /
-    /// `io_uring_enter`) by a parked network system actor. Kernel events
-    /// wake those waits directly, so this cap only bounds how long a
-    /// *non-kernel* signal the waker misses can go unserved; lowering it
-    /// trades idle wakeups for worst-case latency on such signals.
+    /// Upper bound on one parked sleep of a worker whose live actors are
+    /// all event-driven (each declared its kernel objects with
+    /// [`crate::actor::Ctx::watch_fd`]; the enet system actors over
+    /// epoll or io_uring do). Socket events and message enqueues from
+    /// other workers end that sleep directly, so the cap only bounds how
+    /// long a signal the wake hub cannot see — a send from a thread
+    /// outside the runtime — goes unserved; lowering it trades idle
+    /// wake-ups for worst-case latency on such signals.
     pub net_park_cap: std::time::Duration,
 }
 

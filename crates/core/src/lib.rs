@@ -73,6 +73,8 @@ mod error;
 pub mod placement;
 pub mod runtime;
 pub mod spec;
+#[cfg(target_os = "linux")]
+mod sys;
 pub mod wake;
 pub mod wire;
 

@@ -22,9 +22,12 @@
 //!   of up to one per actor.
 //! * **Adaptive idling.** After passes in which no actor made progress
 //!   the worker escalates spin → yield → park per the deployment's
-//!   [`IdlePolicy`]; parked workers block on the runtime's
-//!   [`crate::wake::WakeHub`] and resume when a peer's `Mbox::send`
-//!   signals new work.
+//!   [`crate::config::IdlePolicy`]. The park is the **only** place a
+//!   thread of the runtime blocks: one wait on the worker's slot of the
+//!   runtime's [`crate::wake::WakeHub`] together with every kernel
+//!   descriptor its actors declared ([`Ctx::watch_fd`]), ended by a
+//!   peer's `Mbox::send` to one of its actors or by one of those
+//!   descriptors.
 //!
 //! The runtime also owns the deployment's observability: every worker
 //! gets a fixed-size SPSC trace ring (preallocated here, in untrusted
@@ -46,7 +49,7 @@ use crate::arena::{self, Arena, MagazineStats, Mbox, MboxKind};
 use crate::channel::{ChannelEnd, ChannelPair};
 use crate::config::{cross_enclave, Deployment, Placement};
 use crate::error::ConfigError;
-use crate::wake::{self, WakeHub};
+use crate::wake::{self, WakeHub, WorkerParker};
 
 /// Per-worker execution statistics, reported by [`Runtime::join`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,7 +71,8 @@ pub struct WorkerReport {
     pub migrations: u64,
     /// Times this worker parked on the wake hub.
     pub parks: u64,
-    /// Parks that ended in a wake event (rather than a timeout).
+    /// Parks that ended in a wake event — a notify or a declared kernel
+    /// descriptor turning readable — rather than a timeout.
     pub wakes: u64,
     /// Encrypted channel frames received by this worker's actors that
     /// failed authentication — forged or bit-flipped traffic, summed
@@ -312,7 +316,7 @@ impl Runtime {
     /// fails (e.g. an EPC hard limit is exceeded).
     pub fn start(platform: &Platform, deployment: Deployment) -> Result<Self, ConfigError> {
         let stop = StopToken::new();
-        let hub = WakeHub::new();
+        let hub = WakeHub::with_workers(deployment.workers.len());
         let idle = deployment.idle;
         let costs = platform.costs();
 
@@ -471,6 +475,7 @@ impl Runtime {
                 placement: Arc::clone(&placement),
                 idle,
                 executions: registry.counter(&format!("actor_{}_executions", a.name)),
+                wait_fds: Vec::new(),
             }));
         }
 
@@ -519,6 +524,10 @@ impl Runtime {
             let c_idle_passes = registry.counter(&format!("worker_{wi}_idle_passes"));
             let c_parks = registry.counter(&format!("worker_{wi}_parks"));
             let c_wakes = registry.counter(&format!("worker_{wi}_wakes"));
+            // Wakes whose first pass found no actor with work.
+            let c_empty_wakes = registry.counter(&format!("worker_{wi}_empty_wakes"));
+            // Parks that also waited on a declared kernel descriptor.
+            let c_net_park_waits = registry.counter("net_park_waits");
             // The trace ring is preallocated *here*, at deployment time,
             // in untrusted memory (like mboxes): the producing side emits
             // from inside enclaves without transitions or allocations.
@@ -549,11 +558,14 @@ impl Runtime {
                     wake::set_current(Arc::clone(&hub));
                     obs::install_thread(ring_producer, Arc::clone(&queue_delay), wi as u16);
                     // Mark this thread as a runtime worker (enables
-                    // single-side mbox protocol policing) and install its
-                    // node magazines so steady-state alloc/free stays off
-                    // the shared freelists.
-                    arena::set_worker_token();
+                    // single-side mbox protocol policing, and lets sends
+                    // to the mboxes it drains wake this worker alone) and
+                    // install its node magazines so steady-state
+                    // alloc/free stays off the shared freelists.
+                    arena::set_worker_token(hub.worker_token(wi));
                     arena::install_magazines(magazine_stats);
+                    let mut parker = WorkerParker::new(Arc::clone(&hub), wi);
+                    let mut just_woken = false;
                     let mut idle_streak = 0u64;
                     let mut local_epoch = 0u64;
                     let spin_tier = u64::from(idle.spin_passes);
@@ -582,6 +594,9 @@ impl Runtime {
                         if out.all_parked && !dynamic {
                             break;
                         }
+                        if std::mem::take(&mut just_woken) && !out.any_busy {
+                            c_empty_wakes.inc();
+                        }
                         if out.any_busy {
                             idle_streak = 0;
                             continue;
@@ -593,29 +608,45 @@ impl Runtime {
                         } else if idle_streak <= yield_tier {
                             std::thread::yield_now();
                         } else {
-                            // Park tier. Register as a sleeper first, then
-                            // re-poll every actor once: a send racing with
-                            // the idle decision is either seen by that
-                            // re-poll or its notify ends the park at once
-                            // (see crate::wake for the protocol).
-                            let seen = hub.prepare_park();
-                            // A plan submitted between the loop-top epoch
-                            // check and here must not be slept through:
-                            // submit's notify_force bumps the eventcount
-                            // epoch unconditionally, and this re-check
-                            // closes the remaining window before park.
-                            if dynamic && placement.epoch_changed(local_epoch) {
-                                hub.cancel_park();
+                            // Park tier. The wait covers the kernel
+                            // descriptors of the live entries (collected
+                            // afresh: entries retire and migrate), and
+                            // only when every one of them is event-driven
+                            // may it run to the long cap — a polled actor
+                            // is served by `park_timeout` alone.
+                            parker.clear_sources();
+                            let mut event_driven = true;
+                            for e in entries.iter().filter(|e| !e.parked) {
+                                event_driven &= !e.ctx.wait_fds.is_empty();
+                                for &fd in &e.ctx.wait_fds {
+                                    parker.add_source(fd);
+                                }
+                            }
+                            // Register as a sleeper first, then re-poll
+                            // every actor once: a send racing with the
+                            // idle decision is either seen by that re-poll
+                            // or its notify ends the park at once (see
+                            // crate::wake for the protocol).
+                            parker.prepare();
+                            // A plan or a stop published between the
+                            // loop-top checks and here must not be slept
+                            // through: their notify claims a registered
+                            // sleeper, and this re-check covers the one
+                            // that registered too late to be seen.
+                            if stop.is_stopped()
+                                || (dynamic && placement.epoch_changed(local_epoch))
+                            {
+                                parker.cancel();
                                 continue;
                             }
                             let out = run_pass(&mut entries, &stop, &costs, &counters);
                             c_passes.inc();
                             if out.stopped || (out.all_parked && !dynamic) {
-                                hub.cancel_park();
+                                parker.cancel();
                                 break;
                             }
                             if out.any_busy {
-                                hub.cancel_park();
+                                parker.cancel();
                                 idle_streak = 0;
                                 continue;
                             }
@@ -628,12 +659,21 @@ impl Runtime {
                             // otherwise never send the wake-up message.
                             arena::drain_magazines();
                             c_parks.inc();
+                            if parker.has_sources() {
+                                c_net_park_waits.inc();
+                            }
+                            let timeout = if event_driven && parker.has_sources() {
+                                Some(idle.net_park_cap)
+                            } else {
+                                idle.park_timeout
+                            };
                             if cfg!(feature = "trace") {
                                 obs::emit(obs::EventKind::Park, wi as u16, 0, 0);
                             }
-                            let woken = hub.park(seen, idle.park_timeout);
+                            let woken = parker.park(timeout);
                             if woken {
                                 c_wakes.inc();
+                                just_woken = true;
                             }
                             if cfg!(feature = "trace") {
                                 obs::emit(obs::EventKind::Wake, wi as u16, u64::from(woken), 0);
@@ -1060,6 +1100,85 @@ mod tests {
             consumer_worker.wakes >= 1,
             "consumer must have been woken by the send, not a timeout"
         );
+    }
+
+    #[test]
+    fn a_send_wakes_only_the_consumers_worker() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let p = platform();
+        let mut b = DeploymentBuilder::new();
+        b.idle_policy(crate::config::IdlePolicy::park_immediately());
+        b.pool("pool", Placement::Untrusted, 8, 64);
+        let delivered = Arc::new(AtomicBool::new(false));
+        let sent = Arc::new(AtomicBool::new(false));
+
+        // Worker 0 waits until workers 1 and 2 are past their pre-park
+        // re-poll (`parks` is counted after it; with no timeout only a
+        // wake can end those parks), then sends one message to the mbox
+        // worker 1 drains.
+        let flag = Arc::clone(&sent);
+        let producer = b.actor(
+            "producer",
+            Placement::Untrusted,
+            from_fn(move |ctx| {
+                let registry = ctx.obs_hub().registry();
+                let parked = |w| registry.counter_value(&format!("worker_{w}_parks")) == Some(1);
+                if !(parked(1) && parked(2)) {
+                    return Control::Busy;
+                }
+                let mut node = ctx.arena("pool").unwrap().try_pop().unwrap();
+                node.write(b"for worker 1");
+                ctx.mbox("inbox").unwrap().send(node).unwrap();
+                flag.store(true, Ordering::SeqCst);
+                Control::Park
+            }),
+        );
+        let flag = Arc::clone(&delivered);
+        let consumer = b.actor(
+            "consumer",
+            Placement::Untrusted,
+            from_fn(move |ctx| match ctx.mbox("inbox").unwrap().recv() {
+                Some(_) => {
+                    flag.store(true, Ordering::SeqCst);
+                    Control::Busy
+                }
+                None => Control::Idle,
+            }),
+        );
+        let bystander = b.actor(
+            "bystander",
+            Placement::Untrusted,
+            from_fn(|_| Control::Idle),
+        );
+        // One producer, one consumer: the builder proves the mbox SPSC,
+        // whose consumer side records the draining worker.
+        b.mbox_bound("inbox", "pool", 8, &[producer], &[consumer]);
+        b.worker(&[producer]);
+        b.worker(&[consumer]);
+        b.worker(&[bystander]);
+        let rt = Runtime::start(&p, b.build().unwrap()).unwrap();
+        // The wake is counted after it is signalled: wait for the send
+        // to return as well as for the message to arrive.
+        while !(delivered.load(Ordering::SeqCst) && sent.load(Ordering::SeqCst)) {
+            std::thread::yield_now();
+        }
+        let metrics = rt.metrics();
+        assert_eq!(metrics.counter("worker_1_wakes"), Some(1));
+        assert_eq!(metrics.counter("worker_2_parks"), Some(1));
+        assert_eq!(
+            metrics.counter("worker_2_wakes"),
+            Some(0),
+            "a send to worker 1's mbox must leave parked worker 2 asleep"
+        );
+        assert_eq!(metrics.counter("wake_directed"), Some(1));
+        assert_eq!(metrics.counter("wake_broadcast"), Some(0));
+        assert_eq!(metrics.counter("wake_notifies"), Some(1));
+        assert_eq!(metrics.counter("worker_1_empty_wakes"), Some(0));
+        // Shutdown is a broadcast: it does reach the bystander.
+        rt.shutdown();
+        let report = rt.join();
+        assert_eq!(report.workers[2].wakes, 1);
+        assert_eq!(report.metrics.counter("wake_broadcast"), Some(1));
     }
 
     #[test]

@@ -35,17 +35,6 @@ use crate::backend::{
 use crate::dir::{MboxDirectory, MboxRef};
 use crate::msg::{tag, NetMsg, DATA_HEADER};
 
-/// Consecutive empty passes before a readiness- or completion-mode
-/// READER/WRITER blocks in its kernel wait instead of returning
-/// immediately.
-const IDLE_STREAK_PARK: u32 = 64;
-/// Default upper bound on one blocking network wait (`wait_ready` /
-/// `reap`), used until the actor's ctor reads the deployment's
-/// [`eactors::config::IdlePolicy::net_park_cap`]. Socket events and the
-/// hub-registered eventfd waker both end the sleep early; the cap only
-/// bounds wake-ups from threads outside the runtime (which do not
-/// notify the hub).
-const PARK_TIMEOUT: Duration = Duration::from_millis(5);
 /// Readiness events collected per pass.
 const EVENT_BATCH: usize = 64;
 /// Nodes received from one ready socket in one pass before it is
@@ -57,6 +46,47 @@ const PENDING_CAP: usize = 1024;
 
 fn event_buf() -> Vec<ReadyEvent> {
     vec![ReadyEvent::default(); EVENT_BATCH]
+}
+
+/// What a body reports after a pass: [`Control::Idle`] hands the waiting
+/// to the worker.
+fn busy_if(worked: bool) -> Control {
+    if worked {
+        Control::Busy
+    } else {
+        Control::Idle
+    }
+}
+
+/// The kernel multiplexer a consumer drives, if the backend has one: a
+/// completion ring where offered, else a readiness set, else neither
+/// (the consumer polls its sockets).
+type Multiplexers = (Option<Box<dyn CompletionRing>>, Option<Box<dyn ReadySet>>);
+
+fn multiplexers(net: &dyn NetBackend) -> Multiplexers {
+    match net.completion_ring() {
+        Some(ring) => (Some(ring), None),
+        None => (None, net.ready_set()),
+    }
+}
+
+/// Ctor half of [`multiplexers`]: bind the ring's counters and declare
+/// the multiplexer's descriptor to the worker, whose park then ends when
+/// a socket has news. No system actor ever waits in its body — with a
+/// declared descriptor it does not need to, and without one (polling
+/// backends) the worker's `park_timeout` paces the polls.
+fn declare_multiplexer(
+    ctx: &mut Ctx,
+    cring: &mut Option<Box<dyn CompletionRing>>,
+    ready: &Option<Box<dyn ReadySet>>,
+) {
+    if let Some(ring) = cring.as_deref_mut() {
+        ring.bind_obs(ctx.obs_hub().registry());
+        ctx.watch_fd(ring.wait_fd());
+    }
+    if let Some(set) = ready {
+        ctx.watch_fd(set.wait_fd());
+    }
 }
 
 /// The typed port all networking traffic flows through: a
@@ -190,11 +220,7 @@ impl Actor for Opener {
                 send_msg(&mbox, &response, replies);
             }
         }) > 0;
-        if worked {
-            Control::Busy
-        } else {
-            Control::Idle
-        }
+        busy_if(worked)
     }
 }
 
@@ -245,12 +271,7 @@ impl Accepter {
         dir: Arc<MboxDirectory>,
         replies: Arc<PortStats>,
     ) -> Self {
-        let cring = net.completion_ring();
-        let ready = if cring.is_some() {
-            None
-        } else {
-            net.ready_set()
-        };
+        let (cring, ready) = multiplexers(net.as_ref());
         Accepter {
             net,
             requests,
@@ -300,13 +321,15 @@ impl Accepter {
                 _ => {}
             }
         }
-        // Cancel watches whose reply mbox was dropped.
+        // Cancel watches whose reply mbox was dropped. The cancel is a
+        // queued submission: report work so another pass flushes it.
         let dir = &self.dir;
         self.watches.retain(|w| {
             if dir.get(w.reply).is_some() {
                 true
             } else {
                 ring.cancel_accept(ListenerId(w.listener));
+                worked = true;
                 false
             }
         });
@@ -316,9 +339,7 @@ impl Accepter {
 
 impl Actor for Accepter {
     fn ctor(&mut self, ctx: &mut Ctx) {
-        if let Some(ring) = self.cring.as_deref_mut() {
-            ring.bind_obs(ctx.obs_hub().registry());
-        }
+        declare_multiplexer(ctx, &mut self.cring, &self.ready);
     }
 
     fn body(&mut self, _ctx: &mut Ctx) -> Control {
@@ -351,10 +372,9 @@ impl Actor for Accepter {
             // Completion mode: connections arrive pre-accepted from the
             // ring; the polled accept loop below never runs.
             worked |= self.service_ring();
-            return if worked { Control::Busy } else { Control::Idle };
+            return busy_if(worked);
         }
-        // Collect accept-edges without blocking (the ACCEPTER shares its
-        // worker with OPENER/CLOSER, so it never sleeps in wait_ready).
+        // Collect accept-edges without blocking.
         if let Some(set) = ready.as_deref_mut() {
             if let Ok(n) = set.wait_ready(events, Some(Duration::ZERO)) {
                 for ev in &events[..n] {
@@ -405,11 +425,7 @@ impl Actor for Accepter {
                 }
             }
         });
-        if worked {
-            Control::Busy
-        } else {
-            Control::Idle
-        }
+        busy_if(worked)
     }
 }
 
@@ -476,12 +492,11 @@ fn add_read_watch(
 /// pass. When the backend provides a [`NetBackend::ready_set`], the
 /// READER instead drives edge-triggered readiness events: only sockets
 /// whose edge fired are drained (until `WouldBlock`, with a per-pass
-/// fairness budget), and after [`IDLE_STREAK_PARK`] empty passes the
-/// READER *parks inside* [`ReadySet::wait_ready`] — registered as a hub
-/// sleeper, with the set's eventfd waker ending the sleep on any mbox
-/// enqueue. The epoll sleep replaces the worker's condvar park, so the
-/// actor always reports [`Control::Busy`] in readiness mode (a
-/// condvar-parked worker could not be woken by socket edges).
+/// fairness budget). With a [`NetBackend::completion_ring`] it submits
+/// the receives itself and reaps them in batches. Either way a pass
+/// that found nothing returns [`Control::Idle`] at once; the READER's
+/// worker sleeps for it, on the multiplexer's descriptor beside the
+/// request mbox (see [`Ctx::watch_fd`]).
 ///
 /// # Backpressure
 ///
@@ -509,11 +524,6 @@ pub struct Reader {
     /// Data frames read from a socket but undeliverable to the reply
     /// mbox (mbox full after the node was filled).
     dropped: Arc<Counter>,
-    /// Blocking kernel waits taken while parked (`net_park_waits`).
-    park_waits: Arc<Counter>,
-    /// Cap on one blocking wait; from `IdlePolicy::net_park_cap`.
-    park_cap: Duration,
-    idle_streak: u32,
 }
 
 impl std::fmt::Debug for Reader {
@@ -534,12 +544,7 @@ impl Reader {
         dir: Arc<MboxDirectory>,
         replies: Arc<PortStats>,
     ) -> Self {
-        let cring = net.completion_ring();
-        let ready = if cring.is_some() {
-            None
-        } else {
-            net.ready_set()
-        };
+        let (cring, ready) = multiplexers(net.as_ref());
         Reader {
             net,
             requests,
@@ -553,9 +558,6 @@ impl Reader {
             ready_queue: VecDeque::new(),
             events: event_buf(),
             dropped: Arc::new(Counter::default()),
-            park_waits: Arc::new(Counter::default()),
-            park_cap: PARK_TIMEOUT,
-            idle_streak: 0,
         }
     }
 
@@ -627,14 +629,14 @@ impl Reader {
         true
     }
 
-    /// Collect readiness events (readiness mode only), enqueueing each
-    /// not-yet-queued socket. Returns whether any event arrived.
-    fn collect_events(&mut self, timeout: Option<Duration>) -> bool {
+    /// Collect pending readiness events (readiness mode only),
+    /// enqueueing each not-yet-queued socket.
+    fn collect_events(&mut self) {
         let Some(set) = self.ready.as_deref_mut() else {
-            return false;
+            return;
         };
-        let Ok(n) = set.wait_ready(&mut self.events, timeout) else {
-            return false;
+        let Ok(n) = set.wait_ready(&mut self.events, Some(Duration::ZERO)) else {
+            return;
         };
         for ev in &self.events[..n] {
             if ev.listener {
@@ -647,7 +649,6 @@ impl Reader {
                 }
             }
         }
-        n > 0
     }
 
     /// Drain every currently-queued socket once (readiness mode).
@@ -777,13 +778,14 @@ impl Reader {
         worked
     }
 
-    /// Flush pending submissions and reap completions (completion
-    /// mode) — at most one syscall. Returns whether anything completed.
-    fn reap_ring(&mut self, timeout: Option<Duration>) -> bool {
+    /// Flush pending submissions and reap posted completions (completion
+    /// mode) without blocking — at most one syscall, none when there is
+    /// nothing to submit. Returns whether anything completed.
+    fn reap_ring(&mut self) -> bool {
         let Some(ring) = self.cring.as_deref_mut() else {
             return false;
         };
-        matches!(ring.reap(&mut self.completions, timeout), Ok(n) if n > 0)
+        matches!(ring.reap(&mut self.completions, Some(Duration::ZERO)), Ok(n) if n > 0)
     }
 
     /// Queue `socket` for a receive submission (completion mode).
@@ -799,6 +801,8 @@ impl Reader {
     /// Submit receives for every socket in the arm queue (completion
     /// mode): new watches, starved retries, and sockets whose previous
     /// completion was just delivered. Starved sockets stay queued.
+    /// Reports work whenever it queued a submission: the pass after a
+    /// productive one is what flushes it to the kernel.
     fn service_arm(&mut self) -> bool {
         let mut worked = false;
         let rounds = self.ready_queue.len();
@@ -808,6 +812,7 @@ impl Reader {
             };
             match self.try_arm(socket) {
                 ArmOutcome::Armed => {
+                    worked = true;
                     if let Some(w) = self.watches.get_mut(&socket) {
                         w.queued = false;
                     }
@@ -968,89 +973,27 @@ impl Actor for Reader {
         // The registry returns one shared counter per name, so every
         // reader in the deployment increments the same atomic.
         self.dropped = ctx.obs_hub().registry().counter("net_dropped_reads");
-        self.park_waits = ctx.obs_hub().registry().counter("net_park_waits");
-        self.park_cap = ctx.idle_policy().net_park_cap;
-        if let Some(set) = &self.ready {
-            ctx.wake_hub().register_waker(set.waker());
-        }
-        if let Some(ring) = self.cring.as_deref_mut() {
-            ring.bind_obs(ctx.obs_hub().registry());
-            ctx.wake_hub().register_waker(ring.waker());
-        }
+        declare_multiplexer(ctx, &mut self.cring, &self.ready);
     }
 
-    fn body(&mut self, ctx: &mut Ctx) -> Control {
+    fn body(&mut self, _ctx: &mut Ctx) -> Control {
         let mut worked = self.drain_requests();
         worked |= self.flush_acks();
         if self.cring.is_some() {
             worked |= self.service_arm();
-            worked |= self.reap_ring(Some(Duration::ZERO));
+            worked |= self.reap_ring();
             worked |= self.service_completions();
             worked |= self.service_arm();
-            // Starved sockets keep the actor hot, mirroring readiness
-            // mode: back-pressure resolves by nodes recycling, which no
-            // kernel wait can observe.
-            worked |= !self.ready_queue.is_empty();
-            if worked {
-                self.idle_streak = 0;
-                return Control::Busy;
-            }
-            self.idle_streak += 1;
-            if self.idle_streak >= IDLE_STREAK_PARK && self.acks.is_empty() {
-                // Park *inside* io_uring_enter, same eventcount shape as
-                // the readiness path: register, re-poll inputs, sleep.
-                // The ring's eventfd is wired into the SQ as a multishot
-                // poll, so a hub wake posts a CQE and ends the wait.
-                let hub = ctx.wake_hub().clone();
-                let _seen = hub.prepare_park();
-                if self.drain_requests() {
-                    hub.cancel_park();
-                    self.service_arm();
-                } else {
-                    self.park_waits.inc();
-                    self.reap_ring(Some(self.park_cap));
-                    hub.cancel_park();
-                    self.service_completions();
-                    self.service_arm();
-                }
-                self.idle_streak = 0;
-            }
-            // Completion mode never yields to the worker's condvar park:
-            // ring completions cannot wake a condvar.
-            return Control::Busy;
+        } else if self.ready.is_some() {
+            self.collect_events();
+            worked |= self.service_ready();
+        } else {
+            return busy_if(worked | self.service_polling());
         }
-        if self.ready.is_none() {
-            worked |= self.service_polling();
-            return if worked { Control::Busy } else { Control::Idle };
-        }
-        self.collect_events(Some(Duration::ZERO));
-        worked |= !self.ready_queue.is_empty();
-        worked |= self.service_ready();
-        if worked {
-            self.idle_streak = 0;
-            return Control::Busy;
-        }
-        self.idle_streak += 1;
-        if self.idle_streak >= IDLE_STREAK_PARK && self.acks.is_empty() {
-            // Park *inside* epoll_wait, as a registered hub sleeper: a
-            // mbox enqueue notifies the hub, the hub fires our set's
-            // eventfd waker, epoll returns. Classic eventcount shape —
-            // register, re-poll the inputs, then sleep.
-            let hub = ctx.wake_hub().clone();
-            let _seen = hub.prepare_park();
-            if self.drain_requests() {
-                hub.cancel_park();
-            } else {
-                self.park_waits.inc();
-                self.collect_events(Some(self.park_cap));
-                hub.cancel_park();
-                self.service_ready();
-            }
-            self.idle_streak = 0;
-        }
-        // Readiness mode never yields to the worker's condvar park:
-        // socket edges cannot wake a condvar.
-        Control::Busy
+        // Sockets still queued are starved of reply nodes (or out of
+        // budget): back-pressure resolves by nodes recycling, which no
+        // wait can observe, so they keep the actor hot.
+        busy_if(worked || !self.ready_queue.is_empty())
     }
 }
 
@@ -1076,8 +1019,8 @@ struct PendingWrites {
 ///
 /// In readiness mode a short write subscribes the socket for
 /// `EPOLLOUT` and the retry waits for the edge instead of re-trying the
-/// kernel every pass; like the [`Reader`], an idle WRITER parks inside
-/// [`ReadySet::wait_ready`] with its waker registered on the hub.
+/// kernel every pass; like the [`Reader`], an idle WRITER returns
+/// [`Control::Idle`] and leaves the waiting to its worker.
 ///
 /// Backpressure never blocks the worker: a socket whose parked queue
 /// exceeds [`PENDING_CAP`] nodes has further writes dropped and counted
@@ -1099,13 +1042,6 @@ pub struct Writer {
     /// Write frames dropped instead of queued (dead socket, or per-socket
     /// pending cap exceeded).
     dropped: Arc<Counter>,
-    /// Blocking kernel waits entered while parked (shared `net_park_waits`).
-    park_waits: Arc<Counter>,
-    /// Cap on a parked blocking wait ([`IdlePolicy::net_park_cap`]).
-    ///
-    /// [`IdlePolicy::net_park_cap`]: eactors::config::IdlePolicy::net_park_cap
-    park_cap: Duration,
-    idle_streak: u32,
 }
 
 impl std::fmt::Debug for Writer {
@@ -1120,12 +1056,7 @@ impl std::fmt::Debug for Writer {
 impl Writer {
     /// A WRITER draining `Write` messages from `requests`.
     pub fn new(net: Arc<dyn NetBackend>, requests: NetPort) -> Self {
-        let cring = net.completion_ring();
-        let ready = if cring.is_some() {
-            None
-        } else {
-            net.ready_set()
-        };
+        let (cring, ready) = multiplexers(net.as_ref());
         Writer {
             net,
             requests,
@@ -1136,9 +1067,6 @@ impl Writer {
             cring,
             completions: Vec::new(),
             dropped: Arc::new(Counter::default()),
-            park_waits: Arc::new(Counter::default()),
-            park_cap: PARK_TIMEOUT,
-            idle_streak: 0,
         }
     }
 
@@ -1148,13 +1076,13 @@ impl Writer {
         self.dropped = registry.counter("net_dropped_writes");
     }
 
-    /// Collect `EPOLLOUT` edges, clearing `awaiting_edge` on the sockets
-    /// that became writable.
-    fn collect_events(&mut self, timeout: Option<Duration>) {
+    /// Collect pending `EPOLLOUT` edges, clearing `awaiting_edge` on the
+    /// sockets that became writable.
+    fn collect_events(&mut self) {
         let Some(set) = self.ready.as_deref_mut() else {
             return;
         };
-        let Ok(n) = set.wait_ready(&mut self.events, timeout) else {
+        let Ok(n) = set.wait_ready(&mut self.events, Some(Duration::ZERO)) else {
             return;
         };
         for ev in &self.events[..n] {
@@ -1276,13 +1204,14 @@ impl Writer {
         worked
     }
 
-    /// Flush pending submissions and reap completions (completion
-    /// mode) — at most one syscall. Returns whether anything completed.
-    fn reap_ring(&mut self, timeout: Option<Duration>) -> bool {
+    /// Flush pending submissions and reap posted completions (completion
+    /// mode) without blocking — at most one syscall, none when there is
+    /// nothing to submit. Returns whether anything completed.
+    fn reap_ring(&mut self) -> bool {
         let Some(ring) = self.cring.as_deref_mut() else {
             return false;
         };
-        matches!(ring.reap(&mut self.completions, timeout), Ok(n) if n > 0)
+        matches!(ring.reap(&mut self.completions, Some(Duration::ZERO)), Ok(n) if n > 0)
     }
 
     /// Hand `node` to the ring as a send on `socket` (completion mode).
@@ -1391,78 +1320,20 @@ impl Writer {
 impl Actor for Writer {
     fn ctor(&mut self, ctx: &mut Ctx) {
         self.dropped = ctx.obs_hub().registry().counter("net_dropped_writes");
-        self.park_waits = ctx.obs_hub().registry().counter("net_park_waits");
-        self.park_cap = ctx.idle_policy().net_park_cap;
-        if let Some(set) = &self.ready {
-            ctx.wake_hub().register_waker(set.waker());
-        }
-        if let Some(ring) = self.cring.as_deref_mut() {
-            ring.bind_obs(ctx.obs_hub().registry());
-            ctx.wake_hub().register_waker(ring.waker());
-        }
+        declare_multiplexer(ctx, &mut self.cring, &self.ready);
     }
 
-    fn body(&mut self, ctx: &mut Ctx) -> Control {
-        if self.cring.is_some() {
-            let mut worked = self.reap_ring(Some(Duration::ZERO));
-            worked |= self.service_send_completions();
-            worked |= self.intake_ring();
-            if worked {
-                self.idle_streak = 0;
-                return Control::Busy;
-            }
-            self.idle_streak += 1;
-            if self.idle_streak >= IDLE_STREAK_PARK {
-                // Same eventcount handshake as the Reader: new requests
-                // notify the hub, the hub fires the ring's eventfd, the
-                // poll CQE ends the blocking enter.
-                let hub = ctx.wake_hub().clone();
-                let _seen = hub.prepare_park();
-                if self.intake_ring() {
-                    hub.cancel_park();
-                } else {
-                    self.park_waits.inc();
-                    self.reap_ring(Some(self.park_cap));
-                    hub.cancel_park();
-                    self.service_send_completions();
-                    self.intake_ring();
-                }
-                self.idle_streak = 0;
-            }
-            // Completion mode never yields to the worker's condvar park.
-            return Control::Busy;
-        }
-        if self.ready.is_none() {
-            let mut worked = self.flush();
-            worked |= self.intake();
-            return if worked { Control::Busy } else { Control::Idle };
-        }
-        self.collect_events(Some(Duration::ZERO));
-        let mut worked = self.flush();
-        worked |= self.intake();
-        if worked {
-            self.idle_streak = 0;
-            return Control::Busy;
-        }
-        self.idle_streak += 1;
-        if self.idle_streak >= IDLE_STREAK_PARK {
-            // Same eventcount handshake as the Reader: new requests
-            // notify the hub, the hub fires our eventfd, epoll returns.
-            let hub = ctx.wake_hub().clone();
-            let _seen = hub.prepare_park();
-            if self.intake() {
-                hub.cancel_park();
-                self.flush();
-            } else {
-                self.park_waits.inc();
-                self.collect_events(Some(self.park_cap));
-                hub.cancel_park();
-                self.flush();
-                self.intake();
-            }
-            self.idle_streak = 0;
-        }
-        Control::Busy
+    fn body(&mut self, _ctx: &mut Ctx) -> Control {
+        let worked = if self.cring.is_some() {
+            // Submissions queued here (a completion releasing the next
+            // parked frame, fresh intake) make the pass productive; the
+            // pass that follows flushes them in its reap.
+            self.reap_ring() | self.service_send_completions() | self.intake_ring()
+        } else {
+            self.collect_events();
+            self.flush() | self.intake()
+        };
+        busy_if(worked)
     }
 }
 
@@ -1493,11 +1364,7 @@ impl Actor for Closer {
                 let _ = net.close(SocketId(socket));
             }
         }) > 0;
-        if worked {
-            Control::Busy
-        } else {
-            Control::Idle
-        }
+        busy_if(worked)
     }
 }
 

@@ -9,12 +9,10 @@
 //! sockets on localhost).
 
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 use eactors::arena::Node;
 use eactors::obs::MetricsRegistry;
-use eactors::wake::HubWaker;
 
 /// Identifier of a connected socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -152,9 +150,10 @@ pub trait ReadySet: Send + fmt::Debug {
 
     /// Block up to `timeout` for events, writing them into `events`
     /// (caller-owned — no allocation). Returns the number written; `0`
-    /// on timeout or when woken by the [`ReadySet::waker`]. A `None`
-    /// timeout blocks until an event or a wake. `EINTR` is absorbed
-    /// (reported as `0`).
+    /// on timeout. A `None` timeout blocks until an event. `EINTR` is
+    /// absorbed (reported as `0`). The system actors only ever pass a
+    /// zero timeout — an actor body must not block; their worker does
+    /// the waiting, on [`ReadySet::wait_fd`].
     ///
     /// # Errors
     ///
@@ -166,11 +165,12 @@ pub trait ReadySet: Send + fmt::Debug {
         timeout: Option<Duration>,
     ) -> Result<usize, NetError>;
 
-    /// A handle that interrupts a concurrent [`ReadySet::wait_ready`]
-    /// from any thread. Register it with the runtime's
-    /// [`eactors::wake::WakeHub`] so message enqueues wake a parked
-    /// consumer.
-    fn waker(&self) -> Arc<dyn HubWaker>;
+    /// A pollable descriptor that reads ready while a zero-timeout
+    /// [`ReadySet::wait_ready`] would report events (the epoll instance
+    /// itself). The consumer declares it with
+    /// [`eactors::actor::Ctx::watch_fd`] so its worker's park ends when
+    /// a watched socket has news.
+    fn wait_fd(&self) -> i32;
 }
 
 /// A non-blocking TCP-like transport.
@@ -376,9 +376,14 @@ pub trait CompletionRing: Send + fmt::Debug {
     /// Flush pending submissions and reap finished completions into
     /// `out` (appended), blocking up to `timeout` when it is not zero
     /// and nothing has completed yet. Returns how many completions were
-    /// appended; `0` on timeout or a [`CompletionRing::waker`] wake.
-    /// The whole call issues **at most one** `io_uring_enter`; with
-    /// nothing to submit and completions already posted it issues none.
+    /// appended; `0` on timeout. The whole call issues **at most one**
+    /// `io_uring_enter`, and none at all with nothing to submit and a
+    /// zero timeout — then it is a user-space look at the completion
+    /// queue. Exactly the enters issued are charged to the platform as
+    /// syscalls (and counted in `net_enter_syscalls`); queueing an
+    /// operation is never one. The system actors only ever pass a zero
+    /// timeout — an actor body must not block; their worker does the
+    /// waiting, on [`CompletionRing::wait_fd`].
     ///
     /// # Errors
     ///
@@ -390,11 +395,10 @@ pub trait CompletionRing: Send + fmt::Debug {
         timeout: Option<Duration>,
     ) -> Result<usize, NetError>;
 
-    /// A handle that interrupts a concurrent blocking
-    /// [`CompletionRing::reap`] from any thread; register it with the
-    /// runtime's [`eactors::wake::WakeHub`] so message enqueues wake a
-    /// parked consumer (same contract as [`ReadySet::waker`]).
-    fn waker(&self) -> Arc<dyn HubWaker>;
+    /// A pollable descriptor that reads ready while completions wait
+    /// to be reaped (the ring itself); same contract as
+    /// [`ReadySet::wait_fd`].
+    fn wait_fd(&self) -> i32;
 
     /// Bind the ring's counters into `registry`:
     /// `net_sqe_submitted`, `net_cqe_reaped`, `net_enter_syscalls` and

@@ -17,12 +17,10 @@
 //! an edge fires before the watch exists (`EPOLL_CTL_ADD` of an
 //! already-ready fd queues an event immediately).
 //!
-//! Each set carries an `eventfd` registered level-triggered under a
-//! sentinel cookie. Its [`HubWaker`] is registered with the runtime's
-//! [`eactors::wake::WakeHub`], so any mbox enqueue interrupts a
-//! concurrent [`ReadySet::wait_ready`] — the epoll sleep *is* the
-//! worker's park. The waker is edge-armed: one atomic swap when the
-//! consumer is awake, one `write(2)` at most per sleep.
+//! The consumers never sleep in [`ReadySet::wait_ready`]: an epoll
+//! instance is itself pollable (readable while its ready list is not
+//! empty), so each consumer declares [`ReadySet::wait_fd`] to its worker
+//! and the worker's one park covers it beside the mboxes.
 //!
 //! A set holds an [`Arc`] on every stream it watches, so a racing
 //! `close` cannot recycle an fd number that is still registered; the fd
@@ -33,11 +31,10 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use eactors::wake::HubWaker;
 use sgx_sim::sync::Mutex;
 use sgx_sim::{current_domain, CostHandle};
 
@@ -50,8 +47,6 @@ use crate::ioutil::retry_intr;
 /// Epoll-event cookie tag marking a listener id (socket ids are
 /// sequential and never reach this bit).
 const LISTENER_TAG: u64 = 1 << 63;
-/// Cookie of each set's wake eventfd.
-const WAKER_COOKIE: u64 = u64::MAX;
 /// Stack batch size for one `epoll_wait`; truncated events stay on the
 /// kernel's ready list and surface on the next wait.
 const WAIT_BATCH: usize = 64;
@@ -228,42 +223,11 @@ impl NetBackend for EpollBackend {
     }
 }
 
-/// Wakes a blocked [`EpollSet::wait_ready`] by signalling its eventfd.
-///
-/// Edge-armed: the flag is set while the consumer might be (about to
-/// be) sleeping and cleared by the first wake, so a storm of notifies
-/// costs one `write(2)`; when the consumer is demonstrably awake the
-/// wake is a single atomic swap.
-#[derive(Debug)]
-pub(crate) struct EventfdWaker {
-    pub(crate) fd: ffi::OwnedFd,
-    pub(crate) armed: AtomicBool,
-}
-
-impl EventfdWaker {
-    /// A fresh, armed waker around a new eventfd.
-    pub(crate) fn create() -> std::io::Result<Self> {
-        Ok(EventfdWaker {
-            fd: ffi::eventfd_create()?,
-            armed: AtomicBool::new(true),
-        })
-    }
-}
-
-impl HubWaker for EventfdWaker {
-    fn wake(&self) {
-        if self.armed.swap(false, Ordering::AcqRel) {
-            ffi::eventfd_signal(&self.fd);
-        }
-    }
-}
-
 /// One consumer's epoll instance (see module docs).
 #[derive(Debug)]
 struct EpollSet {
     inner: Arc<EpollInner>,
     epfd: ffi::OwnedFd,
-    waker: Arc<EventfdWaker>,
     /// Watched streams with their current event mask. Holding the `Arc`
     /// pins the fd for the lifetime of the watch (no fd-number reuse
     /// while registered).
@@ -273,18 +237,9 @@ struct EpollSet {
 
 impl EpollSet {
     fn new(inner: Arc<EpollInner>) -> std::io::Result<Self> {
-        let epfd = ffi::epoll_create()?;
-        let evfd = ffi::eventfd_create()?;
-        // Level-triggered on purpose: if a wake signal is crowded out of
-        // one batch it simply surfaces on the next wait.
-        ffi::epoll_add(&epfd, evfd.raw(), ffi::EPOLLIN, WAKER_COOKIE)?;
         Ok(EpollSet {
             inner,
-            epfd,
-            waker: Arc::new(EventfdWaker {
-                fd: evfd,
-                armed: AtomicBool::new(true),
-            }),
+            epfd: ffi::epoll_create()?,
             watched: HashMap::new(),
             watched_listeners: HashMap::new(),
         })
@@ -356,31 +311,21 @@ impl ReadySet for EpollSet {
             return Ok(0);
         }
         let n = ffi::epoll_wait_into(&self.epfd, &mut raw[..cap], timeout)?;
-        let mut out = 0;
-        for ev in &raw[..n] {
+        for (out, ev) in events.iter_mut().zip(&raw[..n]) {
             let (mask, data) = (ev.events, ev.data);
-            if data == WAKER_COOKIE {
-                ffi::eventfd_drain(&self.waker.fd);
-                continue;
-            }
-            events[out] = ReadyEvent {
+            *out = ReadyEvent {
                 id: data & !LISTENER_TAG,
                 listener: data & LISTENER_TAG != 0,
                 readable: mask & (ffi::EPOLLIN | ffi::EPOLLRDHUP) != 0,
                 writable: mask & ffi::EPOLLOUT != 0,
                 hup: mask & (ffi::EPOLLHUP | ffi::EPOLLERR) != 0,
             };
-            out += 1;
         }
-        // Re-arm after every wait: the next notify while we are away
-        // from `epoll_wait` leaves a pending signal and the next wait
-        // returns immediately — never a lost wake-up.
-        self.waker.armed.store(true, Ordering::Release);
-        Ok(out)
+        Ok(n)
     }
 
-    fn waker(&self) -> Arc<dyn HubWaker> {
-        self.waker.clone()
+    fn wait_fd(&self) -> i32 {
+        self.epfd.raw()
     }
 }
 
@@ -469,38 +414,33 @@ mod tests {
     }
 
     #[test]
-    fn waker_interrupts_a_blocking_wait() {
+    fn the_set_itself_polls_readable_while_events_are_pending() {
         let n = net();
+        let l = n.listen(4).unwrap();
+        let c = n.connect(4).unwrap();
+        let s = accept_one(&n, l);
         let mut set = n.ready_set().unwrap();
-        let waker = set.waker();
-        let start = Instant::now();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            waker.wake();
-        });
-        let mut events = [ReadyEvent {
-            id: 0,
-            listener: false,
-            readable: false,
-            writable: false,
-            hup: false,
-        }; 4];
-        let got = set
-            .wait_ready(&mut events, Some(Duration::from_secs(10)))
-            .unwrap();
-        t.join().unwrap();
-        assert_eq!(got, 0, "wake produces no socket events");
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "woken well before the timeout"
+        set.watch(s, Interest::Read).unwrap();
+        let mut events = [ReadyEvent::default(); 8];
+        while set.wait_ready(&mut events, Some(Duration::ZERO)).unwrap() > 0 {}
+
+        // An outer epoll over the set's descriptor stands in for the
+        // worker's wait.
+        let outer = ffi::epoll_create().unwrap();
+        ffi::epoll_add(&outer, set.wait_fd(), ffi::EPOLLIN, 1).unwrap();
+        let mut raw = [ffi::EpollEvent::zeroed(); 2];
+        let quiet = ffi::epoll_wait_into(&outer, &mut raw, Some(Duration::from_millis(1)));
+        assert_eq!(quiet.unwrap(), 0, "nothing pending, not readable");
+
+        assert!(n.send(c, b"ping").unwrap() > 0);
+        let fired = ffi::epoll_wait_into(&outer, &mut raw, Some(Duration::from_secs(5)));
+        assert_eq!(fired.unwrap(), 1, "a pending edge makes the set readable");
+        assert_eq!(
+            set.wait_ready(&mut events, Some(Duration::ZERO)).unwrap(),
+            1
         );
-        // Second wake while awake: armed again after the wait, so the
-        // signal lands and the next wait returns immediately.
-        set.waker().wake();
-        let start = Instant::now();
-        set.wait_ready(&mut events, Some(Duration::from_secs(10)))
-            .unwrap();
-        assert!(start.elapsed() < Duration::from_secs(5));
+        let quiet = ffi::epoll_wait_into(&outer, &mut raw, Some(Duration::from_millis(1)));
+        assert_eq!(quiet.unwrap(), 0, "harvested: quiet again");
     }
 
     #[test]

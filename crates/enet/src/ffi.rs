@@ -1,25 +1,22 @@
 //! Raw Linux bindings for the epoll backend.
 //!
-//! The workspace vendors no crates, so `epoll(7)` and `eventfd(2)` are
-//! reached through hand-written `extern "C"` declarations against the
-//! symbols every Linux libc exports. This is the **only** module in the
+//! The workspace vendors no crates, so `epoll(7)` is reached through
+//! hand-written `extern "C"` declarations against the symbols every
+//! Linux libc exports. This is the **only** module in the
 //! crate containing `unsafe`; everything it exposes is a safe wrapper
 //! returning [`std::io::Result`] over owned file descriptors.
 //!
 //! # Safety argument
 //!
-//! - `epoll_create1` / `eventfd` return owned fds; [`OwnedFd`] closes
-//!   them exactly once on drop and is `!Clone`, so no double-close.
+//! - `epoll_create1` returns an owned fd; [`OwnedFd`] closes it exactly
+//!   once on drop and is `!Clone`, so no double-close.
 //! - `epoll_ctl` only receives fds the caller owns (borrowed as
 //!   `RawFd`), and a pointer to a stack-local [`EpollEvent`] that the
 //!   kernel copies before the call returns — no retained pointers.
 //! - `epoll_wait` writes into a caller-provided `&mut [EpollEvent]`
 //!   whose length bounds `maxevents`, so the kernel can never write
 //!   past the buffer.
-//! - `read`/`write` on the eventfd use an 8-byte stack buffer, the size
-//!   `eventfd(2)` mandates.
-//! - `EINTR` never escapes: waits report it as "zero events", reads and
-//!   writes retry.
+//! - `EINTR` never escapes: waits report it as "zero events".
 
 use std::io;
 use std::os::unix::io::RawFd;
@@ -57,8 +54,6 @@ const EPOLL_CTL_DEL: i32 = 2;
 const EPOLL_CTL_MOD: i32 = 3;
 
 const EPOLL_CLOEXEC: i32 = 0o2000000;
-const EFD_CLOEXEC: i32 = 0o2000000;
-const EFD_NONBLOCK: i32 = 0o4000;
 
 const SOL_SOCKET: i32 = 1;
 const SO_SNDBUF: i32 = 7;
@@ -68,9 +63,6 @@ extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
-    fn eventfd(initval: u32, flags: i32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
     fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const u8, optlen: u32) -> i32;
 }
@@ -115,11 +107,6 @@ pub fn epoll_create() -> io::Result<OwnedFd> {
     cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) }).map(OwnedFd)
 }
 
-/// Create a non-blocking eventfd at zero (close-on-exec).
-pub fn eventfd_create() -> io::Result<OwnedFd> {
-    cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) }).map(OwnedFd)
-}
-
 /// Add `fd` to `epfd` with `events` and the cookie `data`.
 pub fn epoll_add(epfd: &OwnedFd, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
     let mut ev = EpollEvent { events, data };
@@ -162,40 +149,6 @@ pub fn epoll_wait_into(
     }
 }
 
-/// Bump the eventfd counter by one, making it readable (and the epoll
-/// set it is registered in ready). Retries `EINTR`; a full counter
-/// (`EAGAIN`, counter at `u64::MAX - 1`) already guarantees readability
-/// and is treated as success.
-pub fn eventfd_signal(fd: &OwnedFd) {
-    let one: u64 = 1;
-    loop {
-        let ret = unsafe { write(fd.raw(), (&one as *const u64).cast(), 8) };
-        if ret >= 0 {
-            return;
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return;
-        }
-    }
-}
-
-/// Drain the eventfd counter back to zero (nonblocking read). Safe to
-/// call when the counter is already zero.
-pub fn eventfd_drain(fd: &OwnedFd) {
-    let mut buf = [0u8; 8];
-    loop {
-        let ret = unsafe { read(fd.raw(), buf.as_mut_ptr(), 8) };
-        if ret >= 0 {
-            return;
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return;
-        }
-    }
-}
-
 /// Shrink a socket's kernel send/receive buffers to roughly `bytes`
 /// (the kernel doubles and clamps the request). Used by the backend
 /// conformance tests to force short writes with small payloads.
@@ -219,32 +172,35 @@ pub fn set_buf_sizes(fd: RawFd, bytes: usize) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
+    use std::os::unix::io::AsRawFd;
+    use std::os::unix::net::UnixStream;
 
     #[test]
-    fn eventfd_round_trip_wakes_epoll() {
+    fn readable_fd_round_trip_through_epoll() {
         let ep = epoll_create().expect("epoll_create1");
-        let ev = eventfd_create().expect("eventfd");
-        epoll_add(&ep, ev.raw(), EPOLLIN, 7).expect("epoll_ctl ADD");
+        let (mut tx, mut rx) = UnixStream::pair().expect("socketpair");
+        epoll_add(&ep, rx.as_raw_fd(), EPOLLIN, 7).expect("epoll_ctl ADD");
 
         let mut buf = [EpollEvent::zeroed(); 4];
         let n = epoll_wait_into(&ep, &mut buf, Some(Duration::from_millis(1))).unwrap();
-        assert_eq!(n, 0, "unsignalled eventfd is not readable");
+        assert_eq!(n, 0, "nothing written, not readable");
 
-        eventfd_signal(&ev);
+        tx.write_all(b"x").unwrap();
         let n = epoll_wait_into(&ep, &mut buf, Some(Duration::from_millis(100))).unwrap();
         assert_eq!(n, 1);
         let data = buf[0].data;
         assert_eq!(data, 7);
 
-        eventfd_drain(&ev);
+        rx.read_exact(&mut [0u8; 1]).unwrap();
         let n = epoll_wait_into(&ep, &mut buf, Some(Duration::from_millis(1))).unwrap();
-        assert_eq!(n, 0, "drained eventfd goes quiet again");
+        assert_eq!(n, 0, "drained, quiet again");
     }
 
     #[test]
     fn del_of_unwatched_fd_is_harmless() {
         let ep = epoll_create().unwrap();
-        let ev = eventfd_create().unwrap();
-        epoll_del(&ep, ev.raw());
+        let (_tx, rx) = UnixStream::pair().unwrap();
+        epoll_del(&ep, rx.as_raw_fd());
     }
 }

@@ -23,10 +23,11 @@
 //! reproduction benchmarks, where hundreds of emulated clients run on one
 //! machine); [`TcpLoopback`], real `std::net` sockets polled per pass;
 //! and on Linux [`EpollBackend`], real sockets with edge-triggered
-//! `epoll` readiness ([`ReadySet`]) so READER/WRITER park in
-//! `epoll_wait` instead of polling, plus [`UringBackend`], real sockets
-//! driven by an io_uring completion ring ([`CompletionRing`]) so a whole
-//! batch of receives, sends, and accepts costs one `io_uring_enter`.
+//! `epoll` readiness ([`ReadySet`]) so READER/WRITER touch only the
+//! sockets with news instead of polling them all, plus [`UringBackend`],
+//! real sockets driven by an io_uring completion ring
+//! ([`CompletionRing`]) so a whole batch of receives, sends, and accepts
+//! costs one `io_uring_enter`.
 //! [`auto_backend`] picks the best of the real-socket three at runtime.
 //!
 //! ## Example: an echo flow without actors

@@ -46,14 +46,12 @@ use std::time::Duration;
 
 use eactors::arena::{Arena, Node};
 use eactors::obs::{Counter, Log2Hist, MetricsRegistry};
-use eactors::wake::HubWaker;
 use sgx_sim::sync::Mutex;
 use sgx_sim::{current_domain, CostHandle};
 
 use crate::backend::{
     Completion, CompletionRing, ListenerId, NetBackend, NetError, RecvOutcome, SocketId,
 };
-use crate::epoll::EventfdWaker;
 use crate::ffi;
 use crate::ioutil::retry_intr;
 use crate::uring_ffi::{self, IoUringCqe, IoUringSqe, Ring, SqeBuf, IORING_CQE_F_MORE};
@@ -70,8 +68,7 @@ const K_MASK: u64 = 0xff << K_SHIFT;
 const K_RECV: u64 = 1 << K_SHIFT;
 const K_SEND: u64 = 2 << K_SHIFT;
 const K_ACCEPT: u64 = 3 << K_SHIFT;
-const K_WAKE: u64 = 4 << K_SHIFT;
-const K_CANCEL: u64 = 5 << K_SHIFT;
+const K_CANCEL: u64 = 4 << K_SHIFT;
 
 // Negated-errno values surfaced in CQE results.
 const EINTR: i32 = 4;
@@ -111,10 +108,18 @@ struct UringInner {
 }
 
 impl UringInner {
-    fn syscall(&self) -> Result<(), NetError> {
+    /// Enclave code cannot reach the kernel — not even to queue work
+    /// for it. Refused before anything else, charged nothing.
+    fn untrusted(&self) -> Result<(), NetError> {
         if current_domain().is_trusted() {
             return Err(NetError::TrustedDomain);
         }
+        Ok(())
+    }
+
+    /// One real system call is about to be issued.
+    fn syscall(&self) -> Result<(), NetError> {
+        self.untrusted()?;
         self.costs.charge_syscall();
         Ok(())
     }
@@ -336,7 +341,6 @@ enum FixedBufs {
 pub(crate) struct UringRing {
     inner: Arc<UringInner>,
     ring: Ring,
-    waker: Arc<EventfdWaker>,
     recvs: HashMap<u64, InflightRecv>,
     sends: HashMap<u64, InflightSend>,
     accepts: HashMap<u64, AcceptWatch>,
@@ -353,15 +357,10 @@ pub(crate) struct UringRing {
 
 impl UringRing {
     fn new(inner: Arc<UringInner>) -> std::io::Result<Self> {
-        let mut ring = Ring::new(inner.ring_entries)?;
-        let waker = Arc::new(EventfdWaker::create()?);
-        // Arm the wake watch up front; it is flushed by the first enter.
-        // Multishot: a signal posts a CQE without consuming the watch.
-        ring.push(&IoUringSqe::poll_add_multi(waker.fd.raw(), K_WAKE));
+        let ring = Ring::new(inner.ring_entries)?;
         Ok(UringRing {
             inner,
             ring,
-            waker,
             recvs: HashMap::new(),
             sends: HashMap::new(),
             accepts: HashMap::new(),
@@ -393,17 +392,22 @@ impl UringRing {
                 self.backlog.pop_front();
                 continue;
             }
-            match self.ring.enter(0, None) {
-                Ok(consumed) => {
-                    self.enter_syscalls.inc();
-                    self.sqe_submitted.add(u64::from(consumed));
-                    if consumed == 0 {
-                        return; // kernel EAGAIN/EBUSY; retry next reap
-                    }
-                }
-                Err(_) => return, // surfaced by the next reap's enter
+            match self.enter(0, None) {
+                Ok(0) | Err(_) => return, // kernel EAGAIN/EBUSY or a ring error; the next reap retries
+                Ok(_) => {}
             }
         }
+    }
+
+    /// The one place this ring enters the kernel: every
+    /// `io_uring_enter` is charged as a syscall and counted, and nothing
+    /// else is.
+    fn enter(&mut self, min_complete: u32, timeout: Option<Duration>) -> std::io::Result<u32> {
+        self.inner.costs.charge_syscall();
+        self.enter_syscalls.inc();
+        let consumed = self.ring.enter(min_complete, timeout)?;
+        self.sqe_submitted.add(u64::from(consumed));
+        Ok(consumed)
     }
 
     /// Register the node's arena as fixed buffer 0 on first use.
@@ -487,15 +491,6 @@ impl UringRing {
     fn process_cqe(&mut self, cqe: IoUringCqe, out: &mut Vec<Completion>) {
         let id = cqe.user_data & !K_MASK;
         match cqe.user_data & K_MASK {
-            K_WAKE => {
-                ffi::eventfd_drain(&self.waker.fd);
-                if cqe.flags & IORING_CQE_F_MORE == 0 {
-                    // The multishot watch ended (or the kernel only did
-                    // oneshot); re-arm so future wakes still land.
-                    let sqe = IoUringSqe::poll_add_multi(self.waker.fd.raw(), K_WAKE);
-                    self.queue_sqe(sqe);
-                }
-            }
             // ASYNC_CANCEL's own result (0 / -ENOENT / -EALREADY) says
             // nothing the target's CQE does not; ignore it.
             K_CANCEL => {}
@@ -624,7 +619,7 @@ impl UringRing {
 
 impl CompletionRing for UringRing {
     fn accept(&mut self, listener: ListenerId) -> Result<(), NetError> {
-        self.inner.syscall()?;
+        self.inner.untrusted()?;
         if let Some(watch) = self.accepts.get_mut(&listener.0) {
             watch.cancelled = false; // re-accept before the cancel landed
             return Ok(());
@@ -665,7 +660,7 @@ impl CompletionRing for UringRing {
         node: Node,
         offset: usize,
     ) -> Result<(), (NetError, Node)> {
-        if let Err(e) = self.inner.syscall() {
+        if let Err(e) = self.inner.untrusted() {
             return Err((e, node));
         }
         if self.recvs.contains_key(&socket.0) {
@@ -708,7 +703,7 @@ impl CompletionRing for UringRing {
         node: Node,
         offset: usize,
     ) -> Result<(), (NetError, Node)> {
-        if let Err(e) = self.inner.syscall() {
+        if let Err(e) = self.inner.untrusted() {
             return Err((e, node));
         }
         if self.sends.contains_key(&socket.0) {
@@ -741,7 +736,7 @@ impl CompletionRing for UringRing {
         out: &mut Vec<Completion>,
         timeout: Option<Duration>,
     ) -> Result<usize, NetError> {
-        self.inner.syscall()?;
+        self.inner.untrusted()?;
         self.pump_backlog();
         let before = out.len();
         // Phase 1: already-posted completions — zero syscalls.
@@ -752,23 +747,18 @@ impl CompletionRing for UringRing {
         let want_wait = out.len() == before && raw == 0 && timeout.map_or(true, |t| !t.is_zero());
         if self.ring.pending_submissions() > 0 || want_wait || self.ring.cq_overflowed() {
             let (min, to) = if want_wait { (1, timeout) } else { (0, None) };
-            let consumed = self.ring.enter(min, to).map_err(NetError::Io)?;
-            self.enter_syscalls.inc();
-            self.sqe_submitted.add(u64::from(consumed));
+            self.enter(min, to).map_err(NetError::Io)?;
             raw += self.drain_cq(out);
         }
         if raw > 0 {
             self.cqe_reaped.add(raw as u64);
             self.batch_hist.record(raw as u64);
         }
-        // Re-arm the waker: the next cross-thread notify signals the
-        // eventfd again (its poll watch posts the wake CQE).
-        self.waker.armed.store(true, Ordering::Release);
         Ok(out.len() - before)
     }
 
-    fn waker(&self) -> Arc<dyn HubWaker> {
-        self.waker.clone()
+    fn wait_fd(&self) -> i32 {
+        self.ring.raw_fd()
     }
 
     fn bind_obs(&mut self, registry: &MetricsRegistry) {

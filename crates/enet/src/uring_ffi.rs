@@ -94,8 +94,6 @@ pub const IORING_CQE_F_MORE: u32 = 1 << 1;
 pub const IORING_OP_NOP: u8 = 0;
 /// `read(2)` into a registered fixed buffer.
 pub const IORING_OP_READ_FIXED: u8 = 4;
-/// `poll(2)`-style readiness watch (multishot-capable).
-pub const IORING_OP_POLL_ADD: u8 = 6;
 /// `accept4(2)` (multishot-capable since 5.19).
 pub const IORING_OP_ACCEPT: u8 = 13;
 /// Cancel a previously submitted operation by `user_data`.
@@ -107,10 +105,7 @@ pub const IORING_OP_SEND: u8 = 26;
 
 /// `sqe.ioprio` bit requesting multishot accept.
 const IORING_ACCEPT_MULTISHOT: u16 = 1 << 0;
-/// `sqe.len` bit requesting multishot poll.
-const IORING_POLL_ADD_MULTI: u32 = 1 << 0;
 
-const POLLIN: u32 = 0x001;
 const MSG_NOSIGNAL: u32 = 0x4000;
 const SOCK_CLOEXEC: u32 = 0o2000000;
 const SOCK_NONBLOCK: u32 = 0o4000;
@@ -298,19 +293,6 @@ impl IoUringSqe {
                 0
             },
             op_flags: SOCK_CLOEXEC | SOCK_NONBLOCK,
-            user_data,
-            ..Self::zeroed()
-        }
-    }
-
-    /// Multishot `POLLIN` watch — used for the wake eventfd so a signal
-    /// posts a CQE without consuming the watch.
-    pub fn poll_add_multi(fd: i32, user_data: u64) -> Self {
-        IoUringSqe {
-            opcode: IORING_OP_POLL_ADD,
-            fd,
-            len: IORING_POLL_ADD_MULTI,
-            op_flags: POLLIN,
             user_data,
             ..Self::zeroed()
         }
@@ -566,6 +548,12 @@ impl Ring {
         })
     }
 
+    /// The ring's descriptor: pollable, readable while the CQ holds
+    /// unreaped entries. Stays owned by `self`.
+    pub fn raw_fd(&self) -> i32 {
+        self.fd.raw()
+    }
+
     /// The `io_uring_params.features` bits the kernel reported.
     pub fn features(&self) -> u32 {
         self.features
@@ -787,7 +775,6 @@ pub fn probe() -> Result<(), String> {
         return Err(format!("kernel {kernel} lacks IORING_FEAT_NODROP"));
     }
     let needed = [
-        IORING_OP_POLL_ADD,
         IORING_OP_ACCEPT,
         IORING_OP_ASYNC_CANCEL,
         IORING_OP_RECV,
@@ -805,7 +792,6 @@ pub fn probe() -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ffi;
 
     fn ring_or_skip(entries: u32) -> Option<Ring> {
         match probe() {
@@ -869,32 +855,6 @@ mod tests {
         let waited = start.elapsed();
         assert!(waited >= Duration::from_millis(10), "waited {waited:?}");
         assert!(waited < Duration::from_secs(2), "waited {waited:?}");
-    }
-
-    #[test]
-    fn multishot_eventfd_poll_posts_cqe_per_signal() {
-        let Some(mut ring) = ring_or_skip(8) else {
-            return;
-        };
-        let ev = ffi::eventfd_create().unwrap();
-        assert!(ring.push(&IoUringSqe::poll_add_multi(ev.raw(), 42)));
-        ring.enter(0, None).unwrap();
-
-        ffi::eventfd_signal(&ev);
-        ring.enter(1, Some(Duration::from_secs(2))).unwrap();
-        let cqe = ring.pop_cqe().expect("poll fires");
-        assert_eq!(cqe.user_data, 42);
-        assert!(cqe.res >= 0);
-        ffi::eventfd_drain(&ev);
-
-        if cqe.flags & IORING_CQE_F_MORE != 0 {
-            // Still armed: a second signal posts a second CQE with no
-            // further submission.
-            ffi::eventfd_signal(&ev);
-            ring.enter(1, Some(Duration::from_secs(2))).unwrap();
-            let again = ring.pop_cqe().expect("multishot fires again");
-            assert_eq!(again.user_data, 42);
-        }
     }
 
     #[test]

@@ -255,9 +255,9 @@ fn system_actors_work_over_real_tcp_sockets() {
 
 /// Full echo loop over the epoll readiness backend: OPENER, ACCEPTER,
 /// READER and WRITER (the latter two as real deployment actors, so
-/// their `ctor` registers the eventfd wakers and the in-`epoll_wait`
-/// parking path is exercised), an enclave-side echo actor flipping
-/// `Data` into `Write` frames, and a kernel-socket client thread.
+/// their `ctor` declares the epoll descriptors and their workers park on
+/// them), an enclave-side echo actor flipping `Data` into `Write`
+/// frames, and a kernel-socket client thread.
 #[cfg(target_os = "linux")]
 #[test]
 fn echo_service_over_epoll_readiness_backend() {
@@ -355,6 +355,209 @@ fn echo_service_over_epoll_readiness_backend() {
     Runtime::start(&p, b.build().expect("valid"))
         .expect("start")
         .join();
+}
+
+/// Which two system actors share the worker under test; the remaining
+/// ones ride the echo actor's worker.
+#[cfg(target_os = "linux")]
+#[derive(Clone, Copy)]
+enum Siblings {
+    ReaderWriter,
+    AccepterReader,
+}
+
+/// Where the sibling tests' echo service listens.
+#[cfg(target_os = "linux")]
+const ECHO_PORT: u16 = 5223;
+
+/// What the client thread of a sibling test does with the backend;
+/// returns how long its timed part took.
+#[cfg(target_os = "linux")]
+type Client = fn(&dyn NetBackend) -> std::time::Duration;
+
+/// An echo service whose workers may sleep for up to two seconds
+/// (`net_park_cap`), driven by `client` from a thread outside the
+/// runtime — so only kernel events can end a park of the worker under
+/// test. Payloads starting with `!` are swallowed, not echoed. Returns
+/// what `client` returns.
+#[cfg(target_os = "linux")]
+fn echo_service_with_long_park_cap(
+    backend: Arc<dyn NetBackend>,
+    siblings: Siblings,
+    client: Client,
+) -> std::time::Duration {
+    use enet::data_frame_into_write;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let p = platform();
+    let pool = Arena::new("pool", 256, 512);
+    let sys = SystemActors::new(backend.clone(), pool.clone());
+    let replies: NetPort = Port::new(Mbox::new(pool, 64));
+    let r = sys.dir.register(replies.mbox().clone());
+    sys.opener_requests.send(&NetMsg::OpenListen {
+        port: ECHO_PORT,
+        reply: r,
+    });
+    let (accepter_rq, reader_rq, writer_rq) = (
+        sys.accepter_requests.clone(),
+        sys.reader_requests.clone(),
+        sys.writer_requests.clone(),
+    );
+
+    let finished = Arc::new(AtomicBool::new(false));
+    let client = {
+        let finished = finished.clone();
+        std::thread::spawn(move || {
+            let took = client(backend.as_ref());
+            finished.store(true, Ordering::SeqCst);
+            took
+        })
+    };
+    let echo = move |ctx: &mut Ctx| {
+        let mut worked = false;
+        while let Some(mut node) = replies.recv_node() {
+            worked = true;
+            match NetMsg::decode_from(node.bytes()) {
+                Some(NetMsg::OpenOk { id, listener: true }) => {
+                    accepter_rq.send(&NetMsg::WatchListener {
+                        listener: id,
+                        reply: r,
+                    });
+                }
+                Some(NetMsg::Accepted { socket, .. }) => {
+                    reader_rq.send(&NetMsg::WatchSocket { socket, reply: r });
+                }
+                Some(NetMsg::Data { payload, .. }) if payload.first() != Some(&b'!') => {
+                    let len = node.bytes().len();
+                    assert!(data_frame_into_write(&mut node.buffer_mut()[..len]));
+                    let _ = writer_rq.send_node(node);
+                }
+                _ => {}
+            }
+        }
+        if finished.load(Ordering::SeqCst) {
+            ctx.shutdown();
+            Control::Park
+        } else if worked {
+            Control::Busy
+        } else {
+            Control::Idle
+        }
+    };
+
+    let mut b = DeploymentBuilder::new();
+    b.idle_policy(IdlePolicy::default().with_net_park_cap(std::time::Duration::from_secs(2)));
+    let a_open = b.actor("opener", Placement::Untrusted, sys.opener);
+    let a_acc = b.actor("accepter", Placement::Untrusted, sys.accepter);
+    let a_read = b.actor("reader", Placement::Untrusted, sys.reader);
+    let a_write = b.actor("writer", Placement::Untrusted, sys.writer);
+    let a_echo = b.actor("echo", Placement::Untrusted, eactors::from_fn(echo));
+    match siblings {
+        Siblings::ReaderWriter => {
+            b.worker(&[a_read, a_write]);
+            b.worker(&[a_open, a_acc, a_echo]);
+        }
+        Siblings::AccepterReader => {
+            b.worker(&[a_acc, a_read]);
+            b.worker(&[a_open, a_write, a_echo]);
+        }
+    }
+    Runtime::start(&p, b.build().expect("valid"))
+        .expect("start")
+        .join();
+    client.join().expect("client")
+}
+
+/// One echo of `msg` on `socket`, spinning on the non-blocking backend.
+#[cfg(target_os = "linux")]
+fn echo_once(net: &dyn NetBackend, socket: enet::SocketId, msg: &[u8]) {
+    while net.send(socket, msg).unwrap() == 0 {
+        std::thread::yield_now();
+    }
+    let mut buf = [0u8; 64];
+    let mut got = 0;
+    while got < msg.len() {
+        match net.recv(socket, &mut buf[got..]).unwrap() {
+            RecvOutcome::Data(n) => got += n,
+            RecvOutcome::WouldBlock => std::thread::yield_now(),
+            RecvOutcome::Eof => panic!("premature eof"),
+        }
+    }
+    assert_eq!(&buf[..got], msg);
+}
+
+#[cfg(target_os = "linux")]
+fn connect_when_listening(net: &dyn NetBackend) -> enet::SocketId {
+    loop {
+        match net.connect(ECHO_PORT) {
+            Ok(socket) => return socket,
+            Err(_) => std::thread::sleep(std::time::Duration::from_millis(1)),
+        }
+    }
+}
+
+/// Run `client` against the service over each real multiplexing backend
+/// this kernel offers; every run must stay inside the budget.
+#[cfg(target_os = "linux")]
+fn sibling_test(name: &str, siblings: Siblings, client: Client) {
+    use enet::{EpollBackend, UringBackend};
+    const GAP_BUDGET: std::time::Duration = std::time::Duration::from_millis(1500);
+
+    let epoll = Arc::new(EpollBackend::new(platform().costs()));
+    let took = echo_service_with_long_park_cap(epoll, siblings, client);
+    assert!(took < GAP_BUDGET, "{name} over epoll took {took:?}");
+    if let Err(why) = UringBackend::probe() {
+        eprintln!("{name}: skipping the uring half ({why})");
+        return;
+    }
+    let uring = Arc::new(UringBackend::new(platform().costs()));
+    let took = echo_service_with_long_park_cap(uring, siblings, client);
+    assert!(took < GAP_BUDGET, "{name} over uring took {took:?}");
+}
+
+/// READER and WRITER on one worker, a two-second park cap, and a client
+/// that leaves the service idle for 20 ms before each echo: the worker
+/// parks in every gap, and each echo needs it woken twice — by the
+/// socket (READER's multiplexer) and by the `Write` request (WRITER's
+/// mbox). A one-way nudge ahead of each echo gives the READER work the
+/// WRITER has no part in, so the two fall idle at different times. With
+/// the worker waiting on everything at once the gaps add up to 1.1 s; a
+/// WRITER asleep in its own multiplexer, blind to the READER's, holds
+/// the echo for the whole cap.
+#[cfg(target_os = "linux")]
+#[test]
+fn reader_and_writer_sharing_a_worker_do_not_blind_each_other() {
+    sibling_test("reader+writer", Siblings::ReaderWriter, |net| {
+        let socket = connect_when_listening(net);
+        echo_once(net, socket, b"warm-up");
+        let start = std::time::Instant::now();
+        for i in 0..50 {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            while net.send(socket, b"!nudge").unwrap() == 0 {}
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            echo_once(net, socket, format!("echo-{i}").as_bytes());
+        }
+        start.elapsed()
+    });
+}
+
+/// ACCEPTER and READER on one worker: a connection arriving while the
+/// worker is parked must wake it although it lands in the ACCEPTER's
+/// multiplexer and no message is sent.
+#[cfg(target_os = "linux")]
+#[test]
+fn accepter_and_reader_sharing_a_worker_do_not_blind_each_other() {
+    sibling_test("accepter+reader", Siblings::AccepterReader, |net| {
+        let first = connect_when_listening(net);
+        echo_once(net, first, b"warm-up");
+        let start = std::time::Instant::now();
+        for i in 0..20 {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let socket = net.connect(ECHO_PORT).expect("listening");
+            echo_once(net, socket, format!("conn-{i}").as_bytes());
+        }
+        start.elapsed()
+    });
 }
 
 #[test]

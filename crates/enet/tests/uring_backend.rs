@@ -122,6 +122,64 @@ fn batched_receives_amortize_enter_syscalls() {
     );
 }
 
+/// Charged syscalls are real ones: over a receive submission, ten
+/// thousand reaps that find nothing, a completion and a cancel, the
+/// platform's syscall count moves exactly as `net_enter_syscalls` does.
+/// Looking at the completion queue and queueing an operation are
+/// user-space work; only an `io_uring_enter` enters the kernel.
+#[test]
+fn the_ring_charges_one_syscall_per_enter_and_nothing_else() {
+    let Some((p, net)) = probe_backend("the_ring_charges_one_syscall_per_enter_and_nothing_else")
+    else {
+        return;
+    };
+    let mut ring = net.completion_ring().unwrap();
+    let registry = MetricsRegistry::new();
+    ring.bind_obs(&registry);
+    let (c, s) = socket_pairs(&net, 1)[0];
+    let arena = Arena::new("uring-charge", 4, 64);
+    let enters = || registry.counter_value("net_enter_syscalls").unwrap();
+    let mut completions = Vec::new();
+
+    let (charged, entered) = (p.stats().syscalls(), enters());
+    ring.recv_into(s, arena.try_pop().unwrap(), 0).unwrap();
+    assert_eq!(p.stats().syscalls(), charged, "queueing is no syscall");
+    for _ in 0..10_000 {
+        assert_eq!(
+            ring.reap(&mut completions, Some(Duration::ZERO)).unwrap(),
+            0
+        );
+    }
+    assert_eq!(
+        enters() - entered,
+        1,
+        "one flush of the receive, then nothing to do"
+    );
+    assert_eq!(p.stats().syscalls() - charged, 1);
+
+    let charged_before_send = p.stats().syscalls();
+    assert!(net.send(c, b"x").unwrap() > 0);
+    let sent = p.stats().syscalls() - charged_before_send;
+    reap_until(ring.as_mut(), &mut completions, 1);
+    ring.recv_into(s, arena.try_pop().unwrap(), 0).unwrap();
+    ring.cancel_recv(s);
+    reap_until(ring.as_mut(), &mut completions, 2);
+    assert_eq!(
+        p.stats().syscalls() - charged - sent,
+        enters() - entered,
+        "every charge is an enter and every enter is charged"
+    );
+
+    // The refusal comes first and costs nothing.
+    let enclave = p.create_enclave("t", 4096).unwrap();
+    let prev = sgx_sim::switch_domain(&p.costs(), enclave.domain());
+    let (charged, entered) = (p.stats().syscalls(), enters());
+    let refused = ring.reap(&mut completions, Some(Duration::ZERO));
+    sgx_sim::switch_domain(&p.costs(), prev);
+    assert!(matches!(refused, Err(NetError::TrustedDomain)));
+    assert_eq!((p.stats().syscalls(), enters()), (charged, entered));
+}
+
 /// Torn submission: a 4-entry ring takes 16 concurrent operations. The
 /// overflow parks in the backlog and drains across reaps — every
 /// payload still arrives, no SQE is lost.
@@ -215,10 +273,10 @@ fn cancel_recv_returns_the_node_to_its_pool() {
 }
 
 /// Full echo loop over the uring completion backend: OPENER, ACCEPTER,
-/// READER and WRITER as real deployment actors (their `ctor` wires the
-/// ring's eventfd into the wake hub, so the in-`io_uring_enter` parking
-/// path is exercised), an echo actor flipping `Data` into `Write`
-/// frames, and a kernel-socket client thread.
+/// READER and WRITER as real deployment actors (their `ctor` declares
+/// the ring descriptors, so their workers park on them), an echo actor
+/// flipping `Data` into `Write` frames, and a kernel-socket client
+/// thread.
 #[test]
 fn echo_service_over_uring_completion_backend() {
     use enet::data_frame_into_write;
