@@ -54,13 +54,14 @@ pub enum Backend {
     /// In-process simulated TCP with a syscall cost model (default —
     /// deterministic and scalable).
     Sim,
-    /// Real loopback `std::net` sockets, polled by READER/WRITER.
+    /// Real loopback `std::net` sockets; the completion ring retries
+    /// every in-flight operation on each pass.
     Tcp,
-    /// Real loopback sockets with edge-triggered `epoll` readiness
-    /// (Linux only).
+    /// Real loopback sockets; the completion ring retries the operations
+    /// whose socket an `epoll` edge fired for (Linux only).
     Epoll,
-    /// Real loopback sockets driven by an io_uring completion ring
-    /// (Linux only, kernel permitting).
+    /// Real loopback sockets; the completion ring is an io_uring
+    /// instance (Linux only, kernel permitting).
     Uring,
     /// Runtime selection: probe io_uring, fall back uring → epoll → tcp
     /// with a logged reason ([`enet::auto_backend`]).

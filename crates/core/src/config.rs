@@ -91,8 +91,9 @@ pub struct IdlePolicy {
     pub yield_passes: u32,
     /// Upper bound on one parked sleep of a worker that hosts a *polled*
     /// actor: one with an input that neither arrives through an mbox nor
-    /// makes a declared descriptor readable (the enet READER and
-    /// ACCEPTER over `SimNet`/`TcpLoopback` poll their sockets; the
+    /// makes a declared descriptor readable (the completion rings of the
+    /// enet READER, WRITER and ACCEPTER over `SimNet`/`TcpLoopback` have
+    /// no descriptor and retry their operations on every pass; the
     /// COLLECTOR polls trace rings; any actor that has not called
     /// [`crate::actor::Ctx::watch_fd`] is treated the same). Nothing can
     /// wake the worker for such an input, so this timeout is what serves
@@ -101,8 +102,8 @@ pub struct IdlePolicy {
     pub park_timeout: Option<std::time::Duration>,
     /// Upper bound on one parked sleep of a worker whose live actors are
     /// all event-driven (each declared its kernel objects with
-    /// [`crate::actor::Ctx::watch_fd`]; the enet system actors over
-    /// epoll or io_uring do). Socket events and message enqueues from
+    /// [`crate::actor::Ctx::watch_fd`]; the enet system actors do so with
+    /// their ring's descriptor over epoll or io_uring). Socket events and message enqueues from
     /// other workers end that sleep directly, so the cap only bounds how
     /// long a signal the wake hub cannot see — a send from a thread
     /// outside the runtime — goes unserved; lowering it trades idle

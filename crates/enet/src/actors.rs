@@ -2,7 +2,7 @@
 //!
 //! Five actors bridge the gap between enclaved application logic and the
 //! kernel's TCP/IP stack: [`Opener`] creates sockets, [`Accepter`] takes
-//! new connections from server sockets, [`Reader`] polls subscribed
+//! new connections from server sockets, [`Reader`] receives on subscribed
 //! sockets and forwards incoming bytes into per-user mboxes, [`Writer`]
 //! transmits, and [`Closer`] tears sockets down. They always run
 //! untrusted (the backend enforces it); application eactors talk to them
@@ -12,11 +12,18 @@
 //!
 //! * the READER receives straight into a node buffer of the reply mbox
 //!   (the `Data` header is written first, the kernel fills the rest);
-//! * the WRITER parks partially transmitted **nodes**, not copied bytes,
-//!   so back-pressure costs no allocation either;
+//! * the WRITER hands its ring the request **node** itself, so a partial
+//!   transmission parks no copied bytes and back-pressure costs no
+//!   allocation either;
 //! * every drop (full mbox, exhausted pool) and every undecodable frame
 //!   is counted in the ports' [`PortStats`], aggregated by
 //!   [`SystemActors::stats`].
+//!
+//! READER, WRITER and ACCEPTER speak one I/O contract, the backend's
+//! [`CompletionRing`]: operations go in with their nodes, completions
+//! come out with them. Which mechanism sits beneath the ring — io_uring,
+//! epoll edges, plain retries — is the backend's business; nothing here
+//! branches on it.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -28,25 +35,13 @@ use eactors::arena::{Mbox, Node};
 use eactors::obs::Counter;
 use eactors::wire::{Port, PortStats, Wire};
 
-use crate::backend::{
-    Completion, CompletionRing, Interest, ListenerId, NetBackend, NetError, ReadyEvent, ReadySet,
-    RecvOutcome, SocketId,
-};
+use crate::backend::{Completion, CompletionRing, ListenerId, NetBackend, NetError, SocketId};
 use crate::dir::{MboxDirectory, MboxRef};
 use crate::msg::{tag, NetMsg, DATA_HEADER};
 
-/// Readiness events collected per pass.
-const EVENT_BATCH: usize = 64;
-/// Nodes received from one ready socket in one pass before it is
-/// re-queued behind its peers (firehose fairness).
-const READ_BUDGET: usize = 32;
-/// Parked (partially written) nodes per socket before further writes to
-/// it are dropped and counted rather than queued without bound.
+/// Frames parked per socket behind its in-flight send before further
+/// writes to it are dropped and counted rather than queued without bound.
 const PENDING_CAP: usize = 1024;
-
-fn event_buf() -> Vec<ReadyEvent> {
-    vec![ReadyEvent::default(); EVENT_BATCH]
-}
 
 /// What a body reports after a pass: [`Control::Idle`] hands the waiting
 /// to the worker.
@@ -58,35 +53,22 @@ fn busy_if(worked: bool) -> Control {
     }
 }
 
-/// The kernel multiplexer a consumer drives, if the backend has one: a
-/// completion ring where offered, else a readiness set, else neither
-/// (the consumer polls its sockets).
-type Multiplexers = (Option<Box<dyn CompletionRing>>, Option<Box<dyn ReadySet>>);
-
-fn multiplexers(net: &dyn NetBackend) -> Multiplexers {
-    match net.completion_ring() {
-        Some(ring) => (Some(ring), None),
-        None => (None, net.ready_set()),
+/// Ctor half of owning a ring: bind its counters and declare its
+/// descriptor to the worker, whose park then ends when a socket has news.
+/// No system actor ever waits in its body — with a declared descriptor it
+/// does not need to, and without one (a ring with nothing pollable) the
+/// worker's `park_timeout` paces the reaps.
+fn declare_ring(ctx: &mut Ctx, ring: &mut dyn CompletionRing) {
+    ring.bind_obs(ctx.obs_hub().registry());
+    if let Some(fd) = ring.wait_fd() {
+        ctx.watch_fd(fd);
     }
 }
 
-/// Ctor half of [`multiplexers`]: bind the ring's counters and declare
-/// the multiplexer's descriptor to the worker, whose park then ends when
-/// a socket has news. No system actor ever waits in its body — with a
-/// declared descriptor it does not need to, and without one (polling
-/// backends) the worker's `park_timeout` paces the polls.
-fn declare_multiplexer(
-    ctx: &mut Ctx,
-    cring: &mut Option<Box<dyn CompletionRing>>,
-    ready: &Option<Box<dyn ReadySet>>,
-) {
-    if let Some(ring) = cring.as_deref_mut() {
-        ring.bind_obs(ctx.obs_hub().registry());
-        ctx.watch_fd(ring.wait_fd());
-    }
-    if let Some(set) = ready {
-        ctx.watch_fd(set.wait_fd());
-    }
+/// Flush `ring`'s pending submissions and reap posted completions into
+/// `out` without blocking. Returns whether anything completed.
+fn reap_now(ring: &mut dyn CompletionRing, out: &mut Vec<Completion>) -> bool {
+    matches!(ring.reap(out, Some(Duration::ZERO)), Ok(n) if n > 0)
 }
 
 /// The typed port all networking traffic flows through: a
@@ -98,11 +80,10 @@ pub type NetPort = Port<NetMsg<'static>>;
 ///
 /// Returns `false` — after [`PortStats::note_send_drop`] — when the pool
 /// is exhausted, the mbox is full, or the payload does not fit in one
-/// node; callers retry on their next execution. Prefer a long-lived
-/// [`NetPort`] where possible; this helper serves producers that resolve
-/// destination mboxes dynamically (e.g. through a [`MboxDirectory`]) and
-/// share one telemetry block across them.
-pub fn send_msg(mbox: &Arc<Mbox>, msg: &NetMsg<'_>, stats: &PortStats) -> bool {
+/// node. The system actors resolve reply mboxes dynamically (through the
+/// [`MboxDirectory`]) and share one telemetry block across them, which a
+/// long-lived [`NetPort`] cannot express.
+fn send_msg(mbox: &Arc<Mbox>, msg: &NetMsg<'_>, stats: &PortStats) -> bool {
     let len = msg.encoded_len();
     if len > mbox.arena().payload_size() {
         stats.note_send_drop();
@@ -227,38 +208,27 @@ impl Actor for Opener {
 struct AcceptWatch {
     listener: u64,
     reply: MboxRef,
-    /// In readiness mode: an accept-edge fired (or the watch is new) and
-    /// the backlog has not been drained since.
-    ready: bool,
 }
 
-/// The ACCEPTER: polls watched server sockets and announces new
-/// connections.
+/// The ACCEPTER: announces new connections on watched server sockets.
 ///
-/// In completion mode (a backend with [`NetBackend::completion_ring`])
-/// each watched listener is armed as a multishot accept in the ring and
-/// connections arrive pre-accepted as [`Completion::Accepted`] — zero
-/// `accept4` syscalls on this thread. In readiness mode each pass
-/// drains only the listeners whose accept-edge fired, looping each
-/// backlog until empty; with a polling backend every watched listener
-/// is tried every pass.
+/// Each watched listener is armed in the ring and connections arrive
+/// pre-accepted as [`Completion::Accepted`], already adopted into the
+/// backend's socket table.
 pub struct Accepter {
     net: Arc<dyn NetBackend>,
     requests: NetPort,
     dir: Arc<MboxDirectory>,
     replies: Arc<PortStats>,
     watches: Vec<AcceptWatch>,
-    ready: Option<Box<dyn ReadySet>>,
-    cring: Option<Box<dyn CompletionRing>>,
+    ring: Box<dyn CompletionRing>,
     completions: Vec<Completion>,
-    events: Vec<ReadyEvent>,
 }
 
 impl std::fmt::Debug for Accepter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Accepter")
             .field("watches", &self.watches.len())
-            .field("readiness", &self.ready.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -271,27 +241,23 @@ impl Accepter {
         dir: Arc<MboxDirectory>,
         replies: Arc<PortStats>,
     ) -> Self {
-        let (cring, ready) = multiplexers(net.as_ref());
+        let ring = net.completion_ring();
         Accepter {
             net,
             requests,
             dir,
             replies,
             watches: Vec::new(),
-            ready,
-            cring,
+            ring,
             completions: Vec::new(),
-            events: event_buf(),
         }
     }
 
-    /// Completion-mode pass: reap accepted connections from the ring and
-    /// forward them; drop watches whose subscriber vanished.
+    /// Reap accepted connections from the ring and forward them; drop
+    /// watches whose subscriber vanished.
     fn service_ring(&mut self) -> bool {
-        let Some(ring) = self.cring.as_deref_mut() else {
-            return false;
-        };
-        let _ = ring.reap(&mut self.completions, Some(Duration::ZERO));
+        let ring = self.ring.as_mut();
+        reap_now(ring, &mut self.completions);
         let mut worked = false;
         for c in self.completions.drain(..) {
             match c {
@@ -339,127 +305,54 @@ impl Accepter {
 
 impl Actor for Accepter {
     fn ctor(&mut self, ctx: &mut Ctx) {
-        declare_multiplexer(ctx, &mut self.cring, &self.ready);
+        declare_ring(ctx, self.ring.as_mut());
     }
 
     fn body(&mut self, _ctx: &mut Ctx) -> Control {
         let Accepter {
             requests,
             watches,
-            ready,
-            cring,
-            events,
+            ring,
             ..
         } = self;
-        let mut worked = requests.drain(|msg| {
+        let worked = requests.drain(|msg| {
             if let NetMsg::WatchListener { listener, reply } = msg {
-                if let Some(ring) = cring.as_deref_mut() {
-                    // Arm the (multishot) accept; failures surface as
-                    // AcceptFailed completions.
-                    let _ = ring.accept(ListenerId(listener));
-                } else if let Some(set) = ready.as_deref_mut() {
-                    // Errors surface as accept failures below.
-                    let _ = set.watch_listener(ListenerId(listener));
+                // A re-watch replaces the subscriber, as for sockets.
+                if let Some(w) = watches.iter_mut().find(|w| w.listener == listener) {
+                    w.reply = reply;
+                    return;
                 }
-                watches.push(AcceptWatch {
-                    listener,
-                    reply,
-                    ready: true,
-                });
+                // A listener that cannot be armed never produces
+                // anything; there is nothing to keep a watch for.
+                if ring.accept(ListenerId(listener)).is_ok() {
+                    watches.push(AcceptWatch { listener, reply });
+                }
             }
         }) > 0;
-        if self.cring.is_some() {
-            // Completion mode: connections arrive pre-accepted from the
-            // ring; the polled accept loop below never runs.
-            worked |= self.service_ring();
-            return busy_if(worked);
-        }
-        // Collect accept-edges without blocking.
-        if let Some(set) = ready.as_deref_mut() {
-            if let Ok(n) = set.wait_ready(events, Some(Duration::ZERO)) {
-                for ev in &events[..n] {
-                    if ev.listener {
-                        for w in watches.iter_mut() {
-                            if w.listener == ev.id {
-                                w.ready = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let readiness = self.ready.is_some();
-        let replies = &self.replies;
-        self.watches.retain_mut(|w| {
-            let Some(mbox) = self.dir.get(w.reply) else {
-                if let Some(set) = self.ready.as_deref_mut() {
-                    set.unwatch_listener(ListenerId(w.listener));
-                }
-                return false;
-            };
-            if readiness && !w.ready {
-                return true;
-            }
-            loop {
-                match self.net.accept(ListenerId(w.listener)) {
-                    Ok(Some(SocketId(socket))) => {
-                        worked = true;
-                        let listener = w.listener;
-                        if !send_msg(&mbox, &NetMsg::Accepted { listener, socket }, replies) {
-                            // Reply mbox congested: the connection stays in
-                            // our hands; close it rather than leak it.
-                            let _ = self.net.close(SocketId(socket));
-                        }
-                    }
-                    Ok(None) => {
-                        // Backlog drained: the next edge re-arms us.
-                        w.ready = false;
-                        return true;
-                    }
-                    Err(_) => {
-                        if let Some(set) = self.ready.as_deref_mut() {
-                            set.unwatch_listener(ListenerId(w.listener));
-                        }
-                        return false; // listener closed
-                    }
-                }
-            }
-        });
-        busy_if(worked)
+        busy_if(worked | self.service_ring())
     }
 }
 
 struct ReadWatch {
     reply: MboxRef,
-    /// Readiness mode: the socket sits in `ready_queue` (or must be
-    /// re-queued); cleared when a drain hits `WouldBlock`. Completion
-    /// mode reuses the flag for the arm queue (a submission is owed).
+    /// The socket sits in `arm_queue`: a receive submission is owed.
     queued: bool,
-    /// Completion mode: a receive is in flight in the ring.
+    /// A receive is in flight in the ring.
     inflight: bool,
-    /// Completion mode: `Unwatch` arrived while a receive was in
-    /// flight; the ack is deferred until that completion lands so the
-    /// subscriber keeps the Data-before-Unwatched ordering.
+    /// `Unwatch` arrived while a receive was in flight; the ack is
+    /// deferred until that completion lands so the subscriber keeps the
+    /// Data-before-Unwatched ordering.
     draining: bool,
 }
 
-/// Subscribe `socket` (shared by `WatchSocket` and `WatchBatch`).
-///
-/// A new watch always starts queued-ready: in readiness mode the first
-/// pass drains it until `WouldBlock`, which makes any edge that fired
-/// before the watch existed harmless.
+/// Subscribe `socket` (shared by `WatchSocket` and `WatchBatch`). A new
+/// watch starts queued for its first receive submission.
 fn add_read_watch(
     watches: &mut HashMap<u64, ReadWatch>,
-    ready: &mut Option<Box<dyn ReadySet>>,
-    ready_queue: &mut VecDeque<u64>,
+    arm_queue: &mut VecDeque<u64>,
     socket: u64,
     reply: MboxRef,
 ) {
-    if let Some(set) = ready.as_deref_mut() {
-        // A failed watch (socket already gone) still gets an entry: the
-        // first drain observes the error and reports `SocketClosed`.
-        let _ = set.watch(SocketId(socket), Interest::Read);
-    }
     let entry = watches.entry(socket).or_insert(ReadWatch {
         reply,
         queued: false,
@@ -472,7 +365,7 @@ fn add_read_watch(
     entry.draining = false;
     if !entry.queued {
         entry.queued = true;
-        ready_queue.push_back(socket);
+        arm_queue.push_back(socket);
     }
 }
 
@@ -486,26 +379,23 @@ fn add_read_watch(
 /// into the node payload** — the application then decodes the payload in
 /// place. No intermediate buffer exists anywhere on the path.
 ///
-/// # Polling vs. readiness
+/// # One receive in flight per socket
 ///
-/// With a polling backend every watched socket takes one `recv` per
-/// pass. When the backend provides a [`NetBackend::ready_set`], the
-/// READER instead drives edge-triggered readiness events: only sockets
-/// whose edge fired are drained (until `WouldBlock`, with a per-pass
-/// fairness budget). With a [`NetBackend::completion_ring`] it submits
-/// the receives itself and reaps them in batches. Either way a pass
-/// that found nothing returns [`Control::Idle`] at once; the READER's
-/// worker sleeps for it, on the multiplexer's descriptor beside the
-/// request mbox (see [`Ctx::watch_fd`]).
+/// For every watched socket the READER keeps one receive submitted in
+/// its ring, each holding one node of the subscriber's reply pool; a
+/// completion is delivered and the socket re-armed. A pass that found
+/// nothing returns [`Control::Idle`] at once; the READER's worker sleeps
+/// for it, on the ring's descriptor beside the request mbox (see
+/// [`Ctx::watch_fd`]).
 ///
 /// # Backpressure
 ///
-/// A socket whose reply mbox has no free node (or rejects the send)
-/// stays in the ready queue and is retried next pass — TCP bytes are
-/// never discarded once read. Failed deliveries of already-read frames
-/// are counted in `net_dropped_reads` (see [`Reader::bind_obs`]).
+/// A socket whose reply pool has no free node stays in the arm queue
+/// and is retried next pass — its bytes wait in the kernel, never read
+/// into nowhere. The pool must therefore hold one node per watched
+/// socket on top of what the subscriber has checked out. Failed
+/// deliveries of already-read frames are counted in `net_dropped_reads`.
 pub struct Reader {
-    net: Arc<dyn NetBackend>,
     requests: NetPort,
     dir: Arc<MboxDirectory>,
     replies: Arc<PortStats>,
@@ -513,14 +403,11 @@ pub struct Reader {
     /// `Unwatched` acks still owed; retried when the reply mbox is
     /// congested so the confirmation can never be lost.
     acks: Vec<(u64, MboxRef)>,
-    ready: Option<Box<dyn ReadySet>>,
-    cring: Option<Box<dyn CompletionRing>>,
+    ring: Box<dyn CompletionRing>,
     completions: Vec<Completion>,
-    /// Sockets with an un-drained edge, serviced round-robin. In
-    /// completion mode: sockets owing a receive submission (new watches,
-    /// starved re-arms, just-delivered completions).
-    ready_queue: VecDeque<u64>,
-    events: Vec<ReadyEvent>,
+    /// Sockets owing a receive submission (new watches, starved
+    /// re-arms, just-delivered completions), serviced round-robin.
+    arm_queue: VecDeque<u64>,
     /// Data frames read from a socket but undeliverable to the reply
     /// mbox (mbox full after the node was filled).
     dropped: Arc<Counter>,
@@ -530,7 +417,6 @@ impl std::fmt::Debug for Reader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reader")
             .field("watches", &self.watches.len())
-            .field("readiness", &self.ready.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -544,27 +430,17 @@ impl Reader {
         dir: Arc<MboxDirectory>,
         replies: Arc<PortStats>,
     ) -> Self {
-        let (cring, ready) = multiplexers(net.as_ref());
         Reader {
-            net,
             requests,
             dir,
             replies,
             watches: HashMap::new(),
             acks: Vec::new(),
-            ready,
-            cring,
+            ring: net.completion_ring(),
             completions: Vec::new(),
-            ready_queue: VecDeque::new(),
-            events: event_buf(),
+            arm_queue: VecDeque::new(),
             dropped: Arc::new(Counter::default()),
         }
-    }
-
-    /// Count undeliverable data frames in `registry` as
-    /// `net_dropped_reads` (shared with every other reader that binds).
-    pub fn bind_obs(&mut self, registry: &eactors::obs::MetricsRegistry) {
-        self.dropped = registry.counter("net_dropped_reads");
     }
 
     fn drain_requests(&mut self) -> bool {
@@ -572,44 +448,35 @@ impl Reader {
             requests,
             watches,
             acks,
-            ready,
-            cring,
-            ready_queue,
+            ring,
+            arm_queue,
             ..
         } = self;
         requests.drain(|msg| match msg {
             NetMsg::WatchSocket { socket, reply } => {
-                add_read_watch(watches, ready, ready_queue, socket, reply);
+                add_read_watch(watches, arm_queue, socket, reply);
             }
             NetMsg::WatchBatch { entries } => {
                 // The paper's batch request: one message subscribes a
                 // whole private client list.
                 for (socket, reply) in entries.iter() {
-                    add_read_watch(watches, ready, ready_queue, socket, reply);
+                    add_read_watch(watches, arm_queue, socket, reply);
                 }
             }
             NetMsg::Unwatch { socket } => {
                 // Ack the watch actually removed, to the mbox the watch
-                // named. Any bytes the socket produced were delivered in
-                // earlier passes, so FIFO on the reply mbox gives the
-                // subscriber a hard Data-before-Unwatched ordering.
-                if let Some(ring) = cring.as_deref_mut() {
-                    // Completion mode: an in-flight receive may still
-                    // surface data; defer the ack until it lands.
-                    if let Some(w) = watches.get_mut(&socket) {
-                        if w.inflight {
-                            w.draining = true;
-                            ring.cancel_recv(SocketId(socket));
-                        } else {
-                            let reply = w.reply;
-                            watches.remove(&socket);
-                            acks.push((socket, reply));
-                        }
-                    }
-                } else if let Some(w) = watches.remove(&socket) {
-                    acks.push((socket, w.reply));
-                    if let Some(set) = ready.as_deref_mut() {
-                        set.unwatch(SocketId(socket));
+                // named. An in-flight receive may still surface data:
+                // the ack is deferred until it lands, so FIFO on the
+                // reply mbox gives the subscriber a hard
+                // Data-before-Unwatched ordering.
+                if let Some(w) = watches.get_mut(&socket) {
+                    if w.inflight {
+                        w.draining = true;
+                        ring.cancel_recv(SocketId(socket));
+                    } else {
+                        let reply = w.reply;
+                        watches.remove(&socket);
+                        acks.push((socket, reply));
                     }
                 }
             }
@@ -629,185 +496,42 @@ impl Reader {
         true
     }
 
-    /// Collect pending readiness events (readiness mode only),
-    /// enqueueing each not-yet-queued socket.
-    fn collect_events(&mut self) {
-        let Some(set) = self.ready.as_deref_mut() else {
-            return;
-        };
-        let Ok(n) = set.wait_ready(&mut self.events, Some(Duration::ZERO)) else {
-            return;
-        };
-        for ev in &self.events[..n] {
-            if ev.listener {
-                continue;
-            }
-            if let Some(w) = self.watches.get_mut(&ev.id) {
-                if !w.queued {
-                    w.queued = true;
-                    self.ready_queue.push_back(ev.id);
-                }
-            }
+    /// Hand a filled node to the subscriber; a full mbox drops the frame
+    /// (the bytes were already read) and counts it.
+    fn deliver(&self, mbox: &Mbox, node: Node) {
+        if mbox.send(node).is_err() {
+            self.replies.note_send_drop();
+            self.dropped.inc();
         }
     }
 
-    /// Drain every currently-queued socket once (readiness mode).
-    fn service_ready(&mut self) -> bool {
-        let mut worked = false;
-        let rounds = self.ready_queue.len();
-        for _ in 0..rounds {
-            let Some(socket) = self.ready_queue.pop_front() else {
-                break;
-            };
-            let Some(w) = self.watches.get_mut(&socket) else {
-                continue; // unwatched while queued
-            };
-            let Some(mbox) = self.dir.get(w.reply) else {
-                self.watches.remove(&socket);
-                if let Some(set) = self.ready.as_deref_mut() {
-                    set.unwatch(SocketId(socket));
-                }
-                continue;
-            };
-            if mbox.arena().payload_size() <= DATA_HEADER {
-                self.watches.remove(&socket);
-                if let Some(set) = self.ready.as_deref_mut() {
-                    set.unwatch(SocketId(socket));
-                }
-                continue;
-            }
-            let mut budget = READ_BUDGET;
-            let outcome = loop {
-                if budget == 0 {
-                    break SocketPass::Requeue;
-                }
-                budget -= 1;
-                // Receive directly into a node of the reply mbox: header
-                // first, then the kernel fills the rest of the payload.
-                let Some(mut node) = mbox.arena().try_pop() else {
-                    // Back-pressure: the application owns every node
-                    // right now. The socket stays queued — its bytes
-                    // are in the kernel, not droppable.
-                    break SocketPass::Requeue;
-                };
-                let buf = node.buffer_mut();
-                buf[0] = tag::DATA;
-                buf[1..DATA_HEADER].copy_from_slice(&socket.to_le_bytes());
-                match self.net.recv(SocketId(socket), &mut buf[DATA_HEADER..]) {
-                    Ok(RecvOutcome::Data(n)) => {
-                        worked = true;
-                        node.set_len(DATA_HEADER + n);
-                        if mbox.send(node).is_err() {
-                            self.replies.note_send_drop();
-                            self.dropped.inc();
-                        }
-                    }
-                    Ok(RecvOutcome::WouldBlock) => break SocketPass::Drained,
-                    Ok(RecvOutcome::Eof) | Err(_) => {
-                        worked = true;
-                        let n = NetMsg::SocketClosed { socket }.encode_into(node.buffer_mut());
-                        node.set_len(n);
-                        if mbox.send(node).is_err() {
-                            self.replies.note_send_drop();
-                            self.dropped.inc();
-                        }
-                        break SocketPass::Closed;
-                    }
-                }
-            };
-            match outcome {
-                SocketPass::Requeue => self.ready_queue.push_back(socket),
-                SocketPass::Drained => {
-                    if let Some(w) = self.watches.get_mut(&socket) {
-                        w.queued = false;
-                    }
-                }
-                SocketPass::Closed => {
-                    self.watches.remove(&socket);
-                    if let Some(set) = self.ready.as_deref_mut() {
-                        set.unwatch(SocketId(socket));
-                    }
-                }
-            }
-        }
-        worked
+    /// Tell the subscriber the socket is gone, in the node in hand.
+    fn deliver_closed(&self, mbox: &Mbox, mut node: Node, socket: u64) {
+        let n = NetMsg::SocketClosed { socket }.encode_into(node.buffer_mut());
+        node.set_len(n);
+        self.deliver(mbox, node);
     }
 
-    /// One poll-mode pass: one `recv` attempt per watched socket.
-    fn service_polling(&mut self) -> bool {
-        let mut worked = false;
-        let (net, dir, replies, dropped) = (&self.net, &self.dir, &self.replies, &self.dropped);
-        self.watches.retain(|&socket, w| {
-            let Some(mbox) = dir.get(w.reply) else {
-                return false;
-            };
-            if mbox.arena().payload_size() <= DATA_HEADER {
-                return false;
-            }
-            let Some(mut node) = mbox.arena().try_pop() else {
-                // Back-pressure: poll again once the application has
-                // recycled some nodes.
-                return true;
-            };
-            let buf = node.buffer_mut();
-            buf[0] = tag::DATA;
-            buf[1..DATA_HEADER].copy_from_slice(&socket.to_le_bytes());
-            match net.recv(SocketId(socket), &mut buf[DATA_HEADER..]) {
-                Ok(RecvOutcome::Data(n)) => {
-                    worked = true;
-                    node.set_len(DATA_HEADER + n);
-                    if mbox.send(node).is_err() {
-                        replies.note_send_drop();
-                        dropped.inc();
-                    }
-                    true
-                }
-                Ok(RecvOutcome::WouldBlock) => true, // node returns to the pool
-                Ok(RecvOutcome::Eof) | Err(_) => {
-                    worked = true;
-                    let n = NetMsg::SocketClosed { socket }.encode_into(node.buffer_mut());
-                    node.set_len(n);
-                    if mbox.send(node).is_err() {
-                        replies.note_send_drop();
-                        dropped.inc();
-                    }
-                    false
-                }
-            }
-        });
-        worked
-    }
-
-    /// Flush pending submissions and reap posted completions (completion
-    /// mode) without blocking — at most one syscall, none when there is
-    /// nothing to submit. Returns whether anything completed.
-    fn reap_ring(&mut self) -> bool {
-        let Some(ring) = self.cring.as_deref_mut() else {
-            return false;
-        };
-        matches!(ring.reap(&mut self.completions, Some(Duration::ZERO)), Ok(n) if n > 0)
-    }
-
-    /// Queue `socket` for a receive submission (completion mode).
+    /// Queue `socket` for a receive submission.
     fn requeue(&mut self, socket: u64) {
         if let Some(w) = self.watches.get_mut(&socket) {
             if !w.queued {
                 w.queued = true;
-                self.ready_queue.push_back(socket);
+                self.arm_queue.push_back(socket);
             }
         }
     }
 
-    /// Submit receives for every socket in the arm queue (completion
-    /// mode): new watches, starved retries, and sockets whose previous
-    /// completion was just delivered. Starved sockets stay queued.
-    /// Reports work whenever it queued a submission: the pass after a
-    /// productive one is what flushes it to the kernel.
+    /// Submit receives for every socket in the arm queue: new watches,
+    /// starved retries, and sockets whose previous completion was just
+    /// delivered. Starved sockets stay queued. Reports work whenever it
+    /// queued a submission: the pass after a productive one is what
+    /// flushes it to the kernel.
     fn service_arm(&mut self) -> bool {
         let mut worked = false;
-        let rounds = self.ready_queue.len();
+        let rounds = self.arm_queue.len();
         for _ in 0..rounds {
-            let Some(socket) = self.ready_queue.pop_front() else {
+            let Some(socket) = self.arm_queue.pop_front() else {
                 break;
             };
             match self.try_arm(socket) {
@@ -819,7 +543,7 @@ impl Reader {
                 }
                 // Back-pressure: every node is checked out; retry once
                 // the application recycles some.
-                ArmOutcome::Starved => self.ready_queue.push_back(socket),
+                ArmOutcome::Starved => self.arm_queue.push_back(socket),
                 ArmOutcome::Removed => worked = true,
             }
         }
@@ -849,34 +573,26 @@ impl Reader {
         let buf = node.buffer_mut();
         buf[0] = tag::DATA;
         buf[1..DATA_HEADER].copy_from_slice(&socket.to_le_bytes());
-        let Some(ring) = self.cring.as_deref_mut() else {
-            return ArmOutcome::Removed;
-        };
-        match ring.recv_into(SocketId(socket), node, DATA_HEADER) {
+        match self.ring.recv_into(SocketId(socket), node, DATA_HEADER) {
             Ok(()) => {
                 w.inflight = true;
                 ArmOutcome::Armed
             }
             // A receive is somehow already in flight; treat as armed.
             Err((NetError::WouldBlock, _node)) => ArmOutcome::Armed,
-            Err((_, mut node)) => {
+            Err((_, node)) => {
                 // Unknown or dead socket: report closure with the node
                 // already in hand.
-                let n = NetMsg::SocketClosed { socket }.encode_into(node.buffer_mut());
-                node.set_len(n);
-                if mbox.send(node).is_err() {
-                    self.replies.note_send_drop();
-                    self.dropped.inc();
-                }
+                self.deliver_closed(&mbox, node, socket);
                 self.watches.remove(&socket);
                 ArmOutcome::Removed
             }
         }
     }
 
-    /// Deliver reaped receive completions (completion mode): data frames
-    /// forwarded in place, EOF/errors become `SocketClosed`, drained
-    /// unwatches get their deferred ack.
+    /// Deliver reaped receive completions: data frames forwarded in place,
+    /// EOF/errors become `SocketClosed`, drained unwatches get their
+    /// deferred ack.
     fn service_completions(&mut self) -> bool {
         let mut worked = false;
         let mut comps = std::mem::take(&mut self.completions);
@@ -902,10 +618,7 @@ impl Reader {
                     node.set_len(offset + n);
                     match self.dir.get(reply) {
                         Some(mbox) => {
-                            if mbox.send(node).is_err() {
-                                self.replies.note_send_drop();
-                                self.dropped.inc();
-                            }
+                            self.deliver(&mbox, node);
                             if draining {
                                 self.watches.remove(&socket);
                                 self.acks.push((socket, reply));
@@ -920,19 +633,14 @@ impl Reader {
                 }
                 // Our own cancel raced a re-watch: the subscription is
                 // live again, just re-arm.
-                Err(ref e) if !draining && is_canceled(e) => self.requeue(socket),
+                Err(NetError::Canceled) if !draining => self.requeue(socket),
                 Ok(_) | Err(_) => {
                     // EOF or socket error.
                     self.watches.remove(&socket);
                     if draining {
                         self.acks.push((socket, reply));
                     } else if let Some(mbox) = self.dir.get(reply) {
-                        let n = NetMsg::SocketClosed { socket }.encode_into(node.buffer_mut());
-                        node.set_len(n);
-                        if mbox.send(node).is_err() {
-                            self.replies.note_send_drop();
-                            self.dropped.inc();
-                        }
+                        self.deliver_closed(&mbox, node, socket);
                     }
                 }
             }
@@ -942,7 +650,7 @@ impl Reader {
     }
 }
 
-/// Completion-mode outcome of one [`Reader::try_arm`].
+/// Outcome of one [`Reader::try_arm`].
 enum ArmOutcome {
     /// A receive is (now) in flight.
     Armed,
@@ -952,91 +660,50 @@ enum ArmOutcome {
     Removed,
 }
 
-/// Whether `e` is the `-ECANCELED` produced by our own
-/// [`CompletionRing::cancel_recv`].
-fn is_canceled(e: &NetError) -> bool {
-    const ECANCELED: i32 = 125;
-    matches!(e, NetError::Io(io) if io.raw_os_error() == Some(ECANCELED))
-}
-
-enum SocketPass {
-    /// Budget or nodes ran out with bytes likely left; stay queued.
-    Requeue,
-    /// `WouldBlock`: the edge is consumed, wait for the next one.
-    Drained,
-    /// EOF or error: watch removed, `SocketClosed` sent.
-    Closed,
-}
-
 impl Actor for Reader {
     fn ctor(&mut self, ctx: &mut Ctx) {
         // The registry returns one shared counter per name, so every
         // reader in the deployment increments the same atomic.
         self.dropped = ctx.obs_hub().registry().counter("net_dropped_reads");
-        declare_multiplexer(ctx, &mut self.cring, &self.ready);
+        declare_ring(ctx, self.ring.as_mut());
     }
 
     fn body(&mut self, _ctx: &mut Ctx) -> Control {
         let mut worked = self.drain_requests();
         worked |= self.flush_acks();
-        if self.cring.is_some() {
-            worked |= self.service_arm();
-            worked |= self.reap_ring();
-            worked |= self.service_completions();
-            worked |= self.service_arm();
-        } else if self.ready.is_some() {
-            self.collect_events();
-            worked |= self.service_ready();
-        } else {
-            return busy_if(worked | self.service_polling());
-        }
-        // Sockets still queued are starved of reply nodes (or out of
-        // budget): back-pressure resolves by nodes recycling, which no
-        // wait can observe, so they keep the actor hot.
-        busy_if(worked || !self.ready_queue.is_empty())
+        worked |= self.service_arm();
+        worked |= reap_now(self.ring.as_mut(), &mut self.completions);
+        worked |= self.service_completions();
+        worked |= self.service_arm();
+        // Sockets still queued are starved of reply nodes: back-pressure
+        // resolves by nodes recycling, which no wait can observe, so
+        // they keep the actor hot.
+        busy_if(worked || !self.arm_queue.is_empty())
     }
-}
-
-/// Per-socket parked output (short-write resume state).
-#[derive(Default)]
-struct PendingWrites {
-    /// Parked nodes with their resume offsets, oldest first.
-    queue: VecDeque<(Node, usize)>,
-    /// Completion mode: a send for this socket is inside the ring; the
-    /// next queued frame is submitted when its completion lands.
-    inflight: bool,
-    /// Readiness mode: waiting for an `EPOLLOUT` edge; skip the socket
-    /// until it fires.
-    awaiting_edge: bool,
 }
 
 /// The WRITER: transmits `Write` payloads, preserving per-socket order
 /// under partial writes.
 ///
-/// A partially transmitted message is parked as its **node** plus a byte
-/// offset — nothing is copied into side buffers, and a parked node keeps
-/// back-pressure honest by staying checked out of its pool.
-///
-/// In readiness mode a short write subscribes the socket for
-/// `EPOLLOUT` and the retry waits for the edge instead of re-trying the
-/// kernel every pass; like the [`Reader`], an idle WRITER returns
+/// The request **node** itself goes into the ring — nothing is copied
+/// into side buffers — and the ring resumes a partial transmission where
+/// it stopped, surfacing one completion per frame. Per-socket order
+/// therefore needs only one in-flight send and a FIFO of parked nodes
+/// behind it; a parked node keeps back-pressure honest by staying checked
+/// out of its pool. Like the [`Reader`], an idle WRITER returns
 /// [`Control::Idle`] and leaves the waiting to its worker.
 ///
 /// Backpressure never blocks the worker: a socket whose parked queue
 /// exceeds [`PENDING_CAP`] nodes has further writes dropped and counted
-/// (`net_dropped_writes`, see [`Writer::bind_obs`]), as are writes to
-/// sockets that died mid-queue.
+/// (`net_dropped_writes`), as are writes to sockets that died mid-queue.
 pub struct Writer {
-    net: Arc<dyn NetBackend>,
     requests: NetPort,
-    pending: HashMap<u64, PendingWrites>,
+    /// Sockets with a send inside the ring, each with the frames parked
+    /// behind it, oldest first; the next one is submitted when the
+    /// completion lands.
+    pending: HashMap<u64, VecDeque<Node>>,
     batch: Vec<Node>,
-    ready: Option<Box<dyn ReadySet>>,
-    events: Vec<ReadyEvent>,
-    /// Completion mode (preferred over `ready` when the backend offers
-    /// it): sends are submitted into the ring, short writes resume
-    /// inside it.
-    cring: Option<Box<dyn CompletionRing>>,
+    ring: Box<dyn CompletionRing>,
     /// Scratch buffer for reaped completions.
     completions: Vec<Completion>,
     /// Write frames dropped instead of queued (dead socket, or per-socket
@@ -1048,7 +715,6 @@ impl std::fmt::Debug for Writer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Writer")
             .field("pending_sockets", &self.pending.len())
-            .field("readiness", &self.ready.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -1056,195 +722,41 @@ impl std::fmt::Debug for Writer {
 impl Writer {
     /// A WRITER draining `Write` messages from `requests`.
     pub fn new(net: Arc<dyn NetBackend>, requests: NetPort) -> Self {
-        let (cring, ready) = multiplexers(net.as_ref());
         Writer {
-            net,
             requests,
             pending: HashMap::new(),
             batch: Vec::new(),
-            ready,
-            events: event_buf(),
-            cring,
+            ring: net.completion_ring(),
             completions: Vec::new(),
             dropped: Arc::new(Counter::default()),
         }
     }
 
-    /// Count dropped write frames in `registry` as `net_dropped_writes`
-    /// (shared with every other writer that binds).
-    pub fn bind_obs(&mut self, registry: &eactors::obs::MetricsRegistry) {
-        self.dropped = registry.counter("net_dropped_writes");
-    }
-
-    /// Collect pending `EPOLLOUT` edges, clearing `awaiting_edge` on the
-    /// sockets that became writable.
-    fn collect_events(&mut self) {
-        let Some(set) = self.ready.as_deref_mut() else {
-            return;
-        };
-        let Ok(n) = set.wait_ready(&mut self.events, Some(Duration::ZERO)) else {
-            return;
-        };
-        for ev in &self.events[..n] {
-            if ev.listener {
-                continue;
-            }
-            if ev.writable || ev.hup {
-                if let Some(p) = self.pending.get_mut(&ev.id) {
-                    p.awaiting_edge = false;
-                }
-            }
-        }
-    }
-
-    fn flush(&mut self) -> bool {
-        let mut progressed = false;
-        let (net, ready, dropped) = (&self.net, &mut self.ready, &self.dropped);
-        self.pending.retain(|&socket, p| {
-            if p.awaiting_edge {
-                return true; // wait for EPOLLOUT instead of re-trying
-            }
-            while let Some((node, offset)) = p.queue.front_mut() {
-                match net.send(SocketId(socket), &node.bytes()[*offset..]) {
-                    Ok(0) => {
-                        // Peer buffer still full. With readiness, ask for
-                        // the writability edge (registering an already-
-                        // writable fd fires immediately, so no lost edge).
-                        if let Some(set) = ready.as_deref_mut() {
-                            if set.watch(SocketId(socket), Interest::Write).is_ok() {
-                                p.awaiting_edge = true;
-                            }
-                        }
-                        return true;
-                    }
-                    Ok(n) => {
-                        progressed = true;
-                        *offset += n;
-                        if *offset == node.bytes().len() {
-                            p.queue.pop_front(); // node recycles to its pool
-                        }
-                    }
-                    Err(_) => {
-                        // Socket gone; every parked frame is lost.
-                        dropped.add(p.queue.len() as u64);
-                        if let Some(set) = ready.as_deref_mut() {
-                            set.unwatch(SocketId(socket));
-                        }
-                        return false;
-                    }
-                }
-            }
-            // Fully drained: stop watching for writability.
-            if let Some(set) = ready.as_deref_mut() {
-                set.unwatch(SocketId(socket));
-            }
-            false
-        });
-        progressed
-    }
-
-    fn intake(&mut self) -> bool {
-        const BATCH: usize = 32;
-        let mut worked = false;
-        let Writer {
-            net,
-            requests,
-            pending,
-            batch,
-            ready,
-            dropped,
-            ..
-        } = self;
-        while requests.mbox().recv_batch(batch, BATCH) > 0 {
-            worked = true;
-            for node in batch.drain(..) {
-                // `Write` payloads sit at a fixed offset in the frame, so
-                // the node itself is the transmit buffer.
-                let socket = match NetMsg::decode_from(node.bytes()) {
-                    Some(NetMsg::Write { socket, .. }) => socket,
-                    Some(_) => continue, // not ours; drop
-                    None => {
-                        requests.stats().note_corrupt_frame();
-                        continue;
-                    }
-                };
-                if let Some(p) = pending.get_mut(&socket) {
-                    // Order must be preserved behind earlier pending bytes.
-                    if p.queue.len() >= PENDING_CAP {
-                        dropped.inc(); // bounded memory beats a blocked worker
-                        continue;
-                    }
-                    p.queue.push_back((node, DATA_HEADER));
-                    continue;
-                }
-                let mut offset = DATA_HEADER;
-                while offset < node.bytes().len() {
-                    match net.send(SocketId(socket), &node.bytes()[offset..]) {
-                        Ok(0) => {
-                            // Peer buffer full: park the node for later.
-                            let p = pending.entry(socket).or_default();
-                            p.queue.push_back((node, offset));
-                            if let Some(set) = ready.as_deref_mut() {
-                                if set.watch(SocketId(socket), Interest::Write).is_ok() {
-                                    p.awaiting_edge = true;
-                                }
-                            }
-                            break;
-                        }
-                        Ok(n) => offset += n,
-                        Err(_) => {
-                            // Socket is gone; drop the frame and count it.
-                            dropped.inc();
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        worked
-    }
-
-    /// Flush pending submissions and reap posted completions (completion
-    /// mode) without blocking — at most one syscall, none when there is
-    /// nothing to submit. Returns whether anything completed.
-    fn reap_ring(&mut self) -> bool {
-        let Some(ring) = self.cring.as_deref_mut() else {
-            return false;
-        };
-        matches!(ring.reap(&mut self.completions, Some(Duration::ZERO)), Ok(n) if n > 0)
-    }
-
-    /// Hand `node` to the ring as a send on `socket` (completion mode).
-    /// Short writes resume inside the ring, so per-socket order needs no
-    /// readiness edge — just one in-flight send and a FIFO behind it.
+    /// Hand `node` to the ring as a send on `socket`.
     fn submit_send(&mut self, socket: u64, node: Node) {
-        let Some(ring) = self.cring.as_deref_mut() else {
-            return;
-        };
-        match ring.send_node(SocketId(socket), node, DATA_HEADER) {
+        match self.ring.send_node(SocketId(socket), node, DATA_HEADER) {
             Ok(()) => {
-                self.pending.entry(socket).or_default().inflight = true;
+                self.pending.entry(socket).or_default();
             }
             // Defensive: a send is somehow already in flight; keep order
             // by parking the frame at the head of the queue.
             Err((NetError::WouldBlock, node)) => {
-                let p = self.pending.entry(socket).or_default();
-                p.inflight = true;
-                p.queue.push_front((node, DATA_HEADER));
+                self.pending.entry(socket).or_default().push_front(node);
             }
             Err((_, _node)) => {
                 // Socket gone; the frame and everything parked behind it
                 // are lost.
                 self.dropped.inc();
-                if let Some(p) = self.pending.remove(&socket) {
-                    self.dropped.add(p.queue.len() as u64);
+                if let Some(queue) = self.pending.remove(&socket) {
+                    self.dropped.add(queue.len() as u64);
                 }
             }
         }
     }
 
-    /// Completion-mode intake: decode `Write` frames and submit each
-    /// node to the ring, or park it behind the socket's in-flight send.
+    /// Decode `Write` frames and submit each node to the ring, or park it
+    /// behind the socket's in-flight send. `Write` payloads sit at a fixed
+    /// offset in the frame, so the node itself is the transmit buffer.
     fn intake_ring(&mut self) -> bool {
         const BATCH: usize = 32;
         let mut worked = false;
@@ -1263,27 +775,23 @@ impl Writer {
                 if node.bytes().len() <= DATA_HEADER {
                     continue; // empty payload: nothing to transmit
                 }
-                if let Some(p) = self.pending.get_mut(&socket) {
-                    if p.inflight || !p.queue.is_empty() {
-                        // Order must be preserved behind earlier bytes.
-                        if p.queue.len() >= PENDING_CAP {
-                            self.dropped.inc(); // bounded memory wins
-                        } else {
-                            p.queue.push_back((node, DATA_HEADER));
-                        }
-                        continue;
+                match self.pending.get_mut(&socket) {
+                    // Order must be preserved behind earlier bytes.
+                    Some(queue) if queue.len() >= PENDING_CAP => {
+                        self.dropped.inc(); // bounded memory wins
                     }
+                    Some(queue) => queue.push_back(node),
+                    None => self.submit_send(socket, node),
                 }
-                self.submit_send(socket, node);
             }
         }
         self.batch = drained;
         worked
     }
 
-    /// Deliver reaped send completions (completion mode): a finished
-    /// send releases its socket's next parked frame into the ring; a
-    /// failed one retires the socket and counts its parked frames.
+    /// Deliver reaped send completions: a finished send releases its
+    /// socket's next parked frame into the ring; a failed one retires the
+    /// socket and counts its parked frames.
     fn service_send_completions(&mut self) -> bool {
         let mut worked = false;
         let mut comps = std::mem::take(&mut self.completions);
@@ -1292,23 +800,20 @@ impl Writer {
                 continue;
             };
             worked = true;
-            let Some(p) = self.pending.get_mut(&socket) else {
+            let Some(queue) = self.pending.get_mut(&socket) else {
                 continue;
             };
-            p.inflight = false;
             match result {
-                Ok(()) => {
-                    if let Some((node, _)) = p.queue.pop_front() {
-                        self.submit_send(socket, node);
-                    } else {
+                Ok(()) => match queue.pop_front() {
+                    Some(node) => self.submit_send(socket, node),
+                    None => {
                         self.pending.remove(&socket);
                     }
-                }
+                },
                 Err(_) => {
-                    self.dropped.inc();
-                    if let Some(p) = self.pending.remove(&socket) {
-                        self.dropped.add(p.queue.len() as u64);
-                    }
+                    // The frame and everything parked behind it are lost.
+                    self.dropped.add(1 + queue.len() as u64);
+                    self.pending.remove(&socket);
                 }
             }
         }
@@ -1320,19 +825,16 @@ impl Writer {
 impl Actor for Writer {
     fn ctor(&mut self, ctx: &mut Ctx) {
         self.dropped = ctx.obs_hub().registry().counter("net_dropped_writes");
-        declare_multiplexer(ctx, &mut self.cring, &self.ready);
+        declare_ring(ctx, self.ring.as_mut());
     }
 
     fn body(&mut self, _ctx: &mut Ctx) -> Control {
-        let worked = if self.cring.is_some() {
-            // Submissions queued here (a completion releasing the next
-            // parked frame, fresh intake) make the pass productive; the
-            // pass that follows flushes them in its reap.
-            self.reap_ring() | self.service_send_completions() | self.intake_ring()
-        } else {
-            self.collect_events();
-            self.flush() | self.intake()
-        };
+        // Submissions queued here (a completion releasing the next parked
+        // frame, fresh intake) make the pass productive; the pass that
+        // follows flushes them in its reap.
+        let worked = reap_now(self.ring.as_mut(), &mut self.completions)
+            | self.service_send_completions()
+            | self.intake_ring();
         busy_if(worked)
     }
 }
@@ -1479,32 +981,6 @@ impl SystemActors {
             closer_requests,
             reply_stats,
         }
-    }
-
-    /// Expose the networking telemetry in `registry`: the five request
-    /// ports as `net_<actor>_requests_*`, the reply direction as
-    /// `net_replies_*`. The registered counters are the live atomics the
-    /// actors increment (shared, not copied), so [`SystemActors::stats`]
-    /// and the registry exporters always agree.
-    pub fn bind_obs(&mut self, registry: &eactors::obs::MetricsRegistry) {
-        self.reader.bind_obs(registry);
-        self.writer.bind_obs(registry);
-        self.opener_requests
-            .stats()
-            .register(registry, "net_opener_requests");
-        self.accepter_requests
-            .stats()
-            .register(registry, "net_accepter_requests");
-        self.reader_requests
-            .stats()
-            .register(registry, "net_reader_requests");
-        self.writer_requests
-            .stats()
-            .register(registry, "net_writer_requests");
-        self.closer_requests
-            .stats()
-            .register(registry, "net_closer_requests");
-        self.reply_stats.register(registry, "net_replies");
     }
 
     /// Aggregate the drop and corruption counters of the five request

@@ -2,11 +2,16 @@
 //!
 //! Enclaves cannot issue system calls, so all networking in EActors runs
 //! in untrusted *system actors* (§4.2). This module defines the socket
-//! interface those actors program against. Two backends implement it:
-//! [`crate::SimNet`] (an in-process TCP-like substrate with a syscall
-//! cost model — used by the benchmarks so thousands of emulated clients
-//! fit on one machine) and [`crate::TcpLoopback`] (real `std::net`
-//! sockets on localhost).
+//! interface those actors program against, in two halves. [`NetBackend`]
+//! is the synchronous socket table: seven non-blocking operations, one
+//! system call each. [`CompletionRing`] is the data path: READER, WRITER
+//! and ACCEPTER each own one ring, move their buffer nodes into it with
+//! an operation and get them back in a [`Completion`]. Every backend
+//! offers both — [`crate::SimNet`] (in-process TCP with a syscall cost
+//! model), [`crate::TcpLoopback`], `EpollBackend` and `UringBackend`
+//! (real loopback sockets) — and differs only in what sits beneath the
+//! ring: an io_uring instance, or the plain operations retried by the
+//! adapter in `ops_ring.rs`, on every reap or when an `epoll` edge fires.
 
 use std::fmt;
 use std::time::Duration;
@@ -49,6 +54,9 @@ pub enum NetError {
     BadSocket,
     /// The peer's receive buffer is full (back-pressure; retry).
     WouldBlock,
+    /// The operation was withdrawn by [`CompletionRing::cancel_recv`]
+    /// before it transferred anything.
+    Canceled,
     /// An OS-level error from the real-socket backend.
     Io(std::io::Error),
     /// A scripted failure from a fault-injection plan fired at the named
@@ -66,6 +74,7 @@ impl fmt::Display for NetError {
             NetError::ConnectionRefused(p) => write!(f, "connection refused on port {p}"),
             NetError::BadSocket => write!(f, "unknown or closed socket"),
             NetError::WouldBlock => write!(f, "operation would block"),
+            NetError::Canceled => write!(f, "operation canceled"),
             NetError::Io(e) => write!(f, "socket i/o error: {e}"),
             NetError::Injected(site) => write!(f, "fault injected at {site}"),
         }
@@ -85,92 +94,6 @@ impl From<std::io::Error> for NetError {
     fn from(e: std::io::Error) -> Self {
         NetError::Io(e)
     }
-}
-
-/// What a readiness consumer wants to hear about for one socket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Interest {
-    /// Readable / EOF / error events (READER side).
-    Read,
-    /// Writable events (WRITER side, after a short write).
-    Write,
-}
-
-/// One edge-triggered readiness event from [`ReadySet::wait_ready`].
-///
-/// Edge semantics: the consumer must drain the socket (read or write
-/// until [`NetError::WouldBlock`]) before the next event for it can
-/// fire. Events are level-collapsed per wait — one event may cover any
-/// number of underlying arrivals.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ReadyEvent {
-    /// The watched socket or listener id ([`SocketId::0`] /
-    /// [`ListenerId::0`]).
-    pub id: u64,
-    /// `id` names a listener (accept-readiness) rather than a socket.
-    pub listener: bool,
-    /// Data (or EOF) can be read without blocking.
-    pub readable: bool,
-    /// Buffer space is available for writing.
-    pub writable: bool,
-    /// The peer hung up or the socket errored; drain then close.
-    pub hup: bool,
-}
-
-/// A per-consumer readiness multiplexer (one `epoll` instance).
-///
-/// Each consumer (READER, WRITER, ACCEPTER) owns its own set so events
-/// are never stolen between actors: the same socket may be watched for
-/// [`Interest::Read`] in one set and [`Interest::Write`] in another.
-/// Watches are edge-triggered; a freshly added watch should be treated
-/// as ready once and drained, which makes "event fired before the watch
-/// existed" races harmless.
-pub trait ReadySet: Send + fmt::Debug {
-    /// Watch `socket` for `interest` events. Adding an already-ready
-    /// socket produces an event on the next wait.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::BadSocket`] for an unknown socket.
-    fn watch(&mut self, socket: SocketId, interest: Interest) -> Result<(), NetError>;
-
-    /// Stop watching `socket`. Unknown ids are a no-op (the socket may
-    /// already be closed).
-    fn unwatch(&mut self, socket: SocketId);
-
-    /// Watch `listener` for accept-readiness.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::BadSocket`] for an unknown listener.
-    fn watch_listener(&mut self, listener: ListenerId) -> Result<(), NetError>;
-
-    /// Stop watching `listener`. Unknown ids are a no-op.
-    fn unwatch_listener(&mut self, listener: ListenerId);
-
-    /// Block up to `timeout` for events, writing them into `events`
-    /// (caller-owned — no allocation). Returns the number written; `0`
-    /// on timeout. A `None` timeout blocks until an event. `EINTR` is
-    /// absorbed (reported as `0`). The system actors only ever pass a
-    /// zero timeout — an actor body must not block; their worker does
-    /// the waiting, on [`ReadySet::wait_fd`].
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Io`] on multiplexer failure,
-    /// [`NetError::TrustedDomain`] from enclave code.
-    fn wait_ready(
-        &mut self,
-        events: &mut [ReadyEvent],
-        timeout: Option<Duration>,
-    ) -> Result<usize, NetError>;
-
-    /// A pollable descriptor that reads ready while a zero-timeout
-    /// [`ReadySet::wait_ready`] would report events (the epoll instance
-    /// itself). The consumer declares it with
-    /// [`eactors::actor::Ctx::watch_fd`] so its worker's park ends when
-    /// a watched socket has news.
-    fn wait_fd(&self) -> i32;
 }
 
 /// A non-blocking TCP-like transport.
@@ -230,23 +153,13 @@ pub trait NetBackend: Send + Sync + fmt::Debug {
     /// [`NetError::BadSocket`] for an unknown listener.
     fn close_listener(&self, listener: ListenerId) -> Result<(), NetError>;
 
-    /// Create a readiness multiplexer over this backend's sockets, or
-    /// `None` when the backend only supports polling ([`crate::SimNet`],
-    /// [`crate::TcpLoopback`]). Consumers that get `None` fall back to
-    /// iterating their watch lists every pass.
-    fn ready_set(&self) -> Option<Box<dyn ReadySet>> {
-        None
-    }
-
-    /// Create a completion ring over this backend's sockets, or `None`
-    /// when the backend has no submission-queue engine (every backend
-    /// except `UringBackend`). Consumers prefer a completion ring over a
-    /// [`NetBackend::ready_set`]: instead of "wait for readiness, then
-    /// one syscall per event", they submit the operations themselves and
-    /// reap finished ones in batches — at most one syscall per *batch*.
-    fn completion_ring(&self) -> Option<Box<dyn CompletionRing>> {
-        None
-    }
+    /// Create a completion ring over this backend's sockets: the one
+    /// data path READER, WRITER and ACCEPTER speak. Each call returns an
+    /// independent ring, so a consumer's completions are never stolen by
+    /// another. A real-socket backend whose kernel object (io_uring
+    /// instance, epoll set) cannot be created hands back the polled
+    /// adapter over its own socket table instead of failing.
+    fn completion_ring(&self) -> Box<dyn CompletionRing>;
 }
 
 /// One finished operation reaped from a [`CompletionRing`].
@@ -276,8 +189,8 @@ pub enum Completion {
     /// A [`CompletionRing::recv_into`] finished. On `Ok(n)` the kernel
     /// filled `node` bytes `offset..offset + n` (`n == 0` is EOF); the
     /// node's length is **not** set — the consumer owns framing. `Err`
-    /// reports a dead socket or a cancellation
-    /// ([`CompletionRing::cancel_recv`]).
+    /// reports a dead socket, or [`NetError::Canceled`] after a
+    /// [`CompletionRing::cancel_recv`].
     Recv {
         /// The socket the receive was submitted on.
         socket: u64,
@@ -302,26 +215,26 @@ pub enum Completion {
     },
 }
 
-/// A per-consumer submission/completion engine (one io_uring instance).
+/// A per-consumer submission/completion engine.
 ///
-/// Mirrors [`ReadySet`]'s ownership model — each consumer (READER,
-/// WRITER, ACCEPTER) drives its own ring, so completions are never
-/// stolen between actors — but inverts the control flow: the consumer
-/// *submits* operations (with their buffers) and later *reaps* their
-/// completions, instead of waiting for readiness and then issuing one
-/// syscall per ready socket.
+/// Each consumer (READER, WRITER, ACCEPTER) drives its own ring, so
+/// completions are never stolen between actors. The consumer *submits*
+/// operations (with their buffers) and later *reaps* their completions;
+/// what happens in between is the backend's business — an io_uring
+/// instance takes the whole batch in one `io_uring_enter`, the adapter
+/// over the plain [`NetBackend`] operations tries each one when it is
+/// submitted and again when a reap finds it worth retrying.
 ///
 /// At most one receive and one send may be in flight per socket per
 /// ring (the actors' natural discipline); a second submission fails
-/// with [`NetError::WouldBlock`]. Submissions are *published* locally
-/// and handed to the kernel in the next [`CompletionRing::reap`] — one
-/// `io_uring_enter` covers the whole batch, and a reap that finds
-/// already-posted completions costs **zero** syscalls.
+/// with [`NetError::WouldBlock`]. Every fallible entry point refuses
+/// enclave callers with [`NetError::TrustedDomain`] before anything
+/// else, and only system calls actually issued are charged to the
+/// platform — queueing an operation never is.
 pub trait CompletionRing: Send + fmt::Debug {
     /// Keep accepting on `listener`, posting [`Completion::Accepted`]
     /// per connection until cancelled or [`Completion::AcceptFailed`].
-    /// Uses multishot accept where the kernel supports it, transparent
-    /// oneshot re-arm otherwise. Idempotent while armed.
+    /// Idempotent while armed.
     ///
     /// # Errors
     ///
@@ -352,8 +265,8 @@ pub trait CompletionRing: Send + fmt::Debug {
 
     /// Cancel the in-flight receive on `socket`, if any. The node comes
     /// back through [`Completion::Recv`] — with real data if the
-    /// receive won the race, as an `Err` otherwise. No-op when nothing
-    /// is in flight.
+    /// receive won the race, as [`NetError::Canceled`] otherwise. No-op
+    /// when nothing is in flight.
     fn cancel_recv(&mut self, socket: SocketId);
 
     /// Submit the transmission of `node.bytes()[offset..]` on `socket`.
@@ -374,16 +287,13 @@ pub trait CompletionRing: Send + fmt::Debug {
     ) -> Result<(), (NetError, Node)>;
 
     /// Flush pending submissions and reap finished completions into
-    /// `out` (appended), blocking up to `timeout` when it is not zero
-    /// and nothing has completed yet. Returns how many completions were
-    /// appended; `0` on timeout. The whole call issues **at most one**
-    /// `io_uring_enter`, and none at all with nothing to submit and a
-    /// zero timeout — then it is a user-space look at the completion
-    /// queue. Exactly the enters issued are charged to the platform as
-    /// syscalls (and counted in `net_enter_syscalls`); queueing an
-    /// operation is never one. The system actors only ever pass a zero
+    /// `out` (appended). Returns how many completions were appended. A
+    /// ring with a [`CompletionRing::wait_fd`] blocks up to `timeout`
+    /// when it is not zero and nothing has completed yet (`None` blocks
+    /// until something does); a ring without one has nothing to block
+    /// on and returns at once. The system actors only ever pass a zero
     /// timeout — an actor body must not block; their worker does the
-    /// waiting, on [`CompletionRing::wait_fd`].
+    /// waiting.
     ///
     /// # Errors
     ///
@@ -395,14 +305,27 @@ pub trait CompletionRing: Send + fmt::Debug {
         timeout: Option<Duration>,
     ) -> Result<usize, NetError>;
 
-    /// A pollable descriptor that reads ready while completions wait
-    /// to be reaped (the ring itself); same contract as
-    /// [`ReadySet::wait_fd`].
-    fn wait_fd(&self) -> i32;
+    /// A pollable descriptor that reads ready while a zero-timeout
+    /// [`CompletionRing::reap`] would return completions (the io_uring
+    /// or epoll instance itself). The consumer declares it with
+    /// [`eactors::actor::Ctx::watch_fd`] so its worker's park ends when
+    /// a socket has news. `None` means nothing pollable exists: the
+    /// worker's `park_timeout` paces the reaps.
+    fn wait_fd(&self) -> Option<i32>;
 
-    /// Bind the ring's counters into `registry`:
-    /// `net_sqe_submitted`, `net_cqe_reaped`, `net_enter_syscalls` and
-    /// the `net_uring_batch` completion-batch histogram. Rings of one
-    /// deployment share the named atomics.
+    /// Bind the ring's counters, if it keeps any, into `registry` (the
+    /// io_uring ring: `net_sqe_submitted`, `net_cqe_reaped`,
+    /// `net_enter_syscalls`, `net_fixed_reads` and the `net_uring_batch`
+    /// histogram). Rings of one deployment share the named atomics.
     fn bind_obs(&mut self, _registry: &MetricsRegistry) {}
+}
+
+/// Enclave code cannot reach the kernel — not even to queue work for it.
+/// Every backend and ring entry point asks this first, before it charges
+/// or looks up anything.
+pub(crate) fn untrusted() -> Result<(), NetError> {
+    if sgx_sim::current_domain().is_trusted() {
+        return Err(NetError::TrustedDomain);
+    }
+    Ok(())
 }

@@ -6,8 +6,8 @@
 //!
 //! * [`Opener`] — creates server or client sockets;
 //! * [`Accepter`] — accepts connections on watched server sockets;
-//! * [`Reader`] — polls subscribed sockets, forwarding bytes to per-user
-//!   mboxes (including the XMPP batch pattern);
+//! * [`Reader`] — receives on subscribed sockets, forwarding bytes to
+//!   per-user mboxes (including the XMPP batch pattern);
 //! * [`Writer`] — transmits, preserving order under partial writes;
 //! * [`Closer`] — closes sockets.
 //!
@@ -18,17 +18,20 @@
 //! ([`data_frame_into_write`]) — an echo path moves bytes from socket to
 //! socket with zero heap allocations and zero copies beyond the kernel's.
 //!
-//! Four interchangeable [`NetBackend`]s are provided: [`SimNet`], an
-//! in-process TCP substrate with a syscall cost model (used by the paper
-//! reproduction benchmarks, where hundreds of emulated clients run on one
-//! machine); [`TcpLoopback`], real `std::net` sockets polled per pass;
-//! and on Linux [`EpollBackend`], real sockets with edge-triggered
-//! `epoll` readiness ([`ReadySet`]) so READER/WRITER touch only the
-//! sockets with news instead of polling them all, plus [`UringBackend`],
-//! real sockets driven by an io_uring completion ring
-//! ([`CompletionRing`]) so a whole batch of receives, sends, and accepts
-//! costs one `io_uring_enter`.
-//! [`auto_backend`] picks the best of the real-socket three at runtime.
+//! There is one data path: READER, WRITER and ACCEPTER each drive a
+//! [`CompletionRing`] — they submit receives, sends and accepts together
+//! with the nodes that buffer them, and reap [`Completion`]s. Four
+//! interchangeable [`NetBackend`]s sit beneath that contract: [`SimNet`],
+//! an in-process TCP substrate with a syscall cost model (used by the
+//! paper reproduction benchmarks, where hundreds of emulated clients run
+//! on one machine); [`TcpLoopback`], real `std::net` sockets; and on
+//! Linux [`EpollBackend`] and [`UringBackend`], the same sockets with a
+//! kernel multiplexer to sleep on. Only `UringBackend` hands the
+//! operations to the kernel (one `io_uring_enter` per batch); for the
+//! other three a single adapter performs the plain non-blocking
+//! operations itself — on every reap, or for `EpollBackend` when an edge
+//! fires. [`auto_backend`] picks the best of the real-socket three at
+//! runtime.
 //!
 //! ## Example: an echo flow without actors
 //!
@@ -60,7 +63,9 @@ mod epoll;
 mod ffi;
 pub mod ioutil;
 mod msg;
+mod ops_ring;
 mod sim;
+mod table;
 mod tcp;
 #[cfg(target_os = "linux")]
 mod uring;
@@ -68,12 +73,10 @@ mod uring;
 mod uring_ffi;
 
 pub use actors::{
-    send_msg, send_write_with, Accepter, Closer, NetPort, NetStats, Opener, Reader, SystemActors,
-    Writer,
+    send_write_with, Accepter, Closer, NetPort, NetStats, Opener, Reader, SystemActors, Writer,
 };
 pub use backend::{
-    Completion, CompletionRing, Interest, ListenerId, NetBackend, NetError, ReadyEvent, ReadySet,
-    RecvOutcome, SocketId,
+    Completion, CompletionRing, ListenerId, NetBackend, NetError, RecvOutcome, SocketId,
 };
 pub use dir::{MboxDirectory, MboxRef};
 #[cfg(target_os = "linux")]
@@ -99,7 +102,7 @@ pub fn kernel_release() -> String {
 }
 
 /// Pick the fastest real-socket backend this host supports: io_uring,
-/// falling back to epoll, falling back to polled TCP. Returns the
+/// falling back to epoll, falling back to plain TCP retried every pass. Returns the
 /// backend, its short name (`"uring"` / `"epoll"` / `"tcp"`), and a
 /// human-readable reason for the choice (callers log it).
 pub fn auto_backend(

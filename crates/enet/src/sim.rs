@@ -12,9 +12,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sgx_sim::sync::Mutex;
-use sgx_sim::{current_domain, CostHandle, FaultPlan};
+use sgx_sim::{CostHandle, FaultPlan};
 
-use crate::backend::{ListenerId, NetBackend, NetError, RecvOutcome, SocketId};
+use crate::backend::{
+    untrusted, CompletionRing, ListenerId, NetBackend, NetError, RecvOutcome, SocketId,
+};
+use crate::ops_ring::OpsRing;
 
 /// Default per-socket receive buffer (matches a typical kernel default).
 pub const DEFAULT_SOCKET_BUFFER: usize = 64 * 1024;
@@ -130,9 +133,7 @@ impl SimNet {
     }
 
     fn syscall(&self) -> Result<(), NetError> {
-        if current_domain().is_trusted() {
-            return Err(NetError::TrustedDomain);
-        }
+        untrusted()?;
         self.inner.costs.charge_syscall();
         Ok(())
     }
@@ -288,6 +289,12 @@ impl NetBackend for SimNet {
             .lock()
             .retain(|_, &mut id| id != listener.0);
         Ok(())
+    }
+
+    /// Nothing to wait on in-process: the ring retries everything in
+    /// flight on every reap, each retry one simulated syscall.
+    fn completion_ring(&self) -> Box<dyn CompletionRing> {
+        Box::new(OpsRing::new(self.clone(), None))
     }
 }
 

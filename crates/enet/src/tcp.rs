@@ -1,195 +1,49 @@
-//! A real-socket backend over `std::net` on localhost.
+//! The portable real-socket backend: `std::net` on localhost.
 //!
-//! Functionally interchangeable with [`crate::SimNet`]; useful for
-//! demonstrating that the system actors drive genuine kernel sockets.
-//! Benchmarks use the simulated backend instead, for determinism and
-//! scale.
-//!
-//! # Locking discipline
-//!
-//! The id→socket maps are behind mutexes, but no lock is ever held
-//! across a kernel syscall: handles are stored as [`Arc`]s and cloned
-//! out under the lock, then the guard is dropped before `read`/`write`/
-//! `accept` run. One peer stalling in the kernel therefore cannot
-//! serialize the other network actors — and a concurrent `close` merely
-//! drops the map's `Arc`, so the fd stays alive (and its number cannot
-//! be recycled) until the in-flight syscall's clone is gone.
+//! Functionally interchangeable with [`crate::SimNet`]; it shows the
+//! system actors driving genuine kernel sockets on any platform `std`
+//! supports, which makes it the bottom rung of [`crate::auto_backend`].
+//! The sockets live in the shared loopback table (`table.rs`); with no
+//! kernel multiplexer to ask, its completion ring retries everything in
+//! flight on every reap.
 
-use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{Ipv4Addr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sgx_sim::sync::Mutex;
-use sgx_sim::{current_domain, CostHandle};
+use sgx_sim::CostHandle;
 
-use crate::backend::{ListenerId, NetBackend, NetError, RecvOutcome, SocketId};
-use crate::ioutil::retry_intr;
+use crate::ops_ring::OpsRing;
+use crate::table::{loopback_backend, SocketTable};
 
 /// Real non-blocking TCP sockets bound to 127.0.0.1.
 ///
 /// The `port` passed to [`NetBackend::listen`]/[`NetBackend::connect`] is
 /// a *logical* port; the OS assigns an ephemeral port and the mapping is
 /// kept internally, so tests never collide with other processes.
+///
+/// [`NetBackend::listen`]: crate::NetBackend::listen
+/// [`NetBackend::connect`]: crate::NetBackend::connect
 #[derive(Debug, Clone)]
 pub struct TcpLoopback {
-    inner: Arc<TcpInner>,
-}
-
-#[derive(Debug)]
-struct TcpInner {
-    costs: CostHandle,
-    next_id: AtomicU64,
-    /// id -> (listener, logical port) — the port rides along so
-    /// `close_listener` can free the logical mapping.
-    listeners: Mutex<HashMap<u64, (Arc<TcpListener>, u16)>>,
-    ports: Mutex<HashMap<u16, u16>>, // logical port -> OS port
-    sockets: Mutex<HashMap<u64, Arc<TcpStream>>>,
+    table: Arc<SocketTable>,
 }
 
 impl TcpLoopback {
     /// A fresh backend charging syscalls through `costs`.
     pub fn new(costs: CostHandle) -> Self {
         TcpLoopback {
-            inner: Arc::new(TcpInner {
-                costs,
-                next_id: AtomicU64::new(1),
-                listeners: Mutex::new(HashMap::new()),
-                ports: Mutex::new(HashMap::new()),
-                sockets: Mutex::new(HashMap::new()),
-            }),
+            table: SocketTable::new(costs, None),
         }
-    }
-
-    fn syscall(&self) -> Result<(), NetError> {
-        if current_domain().is_trusted() {
-            return Err(NetError::TrustedDomain);
-        }
-        self.inner.costs.charge_syscall();
-        Ok(())
-    }
-
-    fn fresh_id(&self) -> u64 {
-        self.inner.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn socket(&self, id: SocketId) -> Result<Arc<TcpStream>, NetError> {
-        self.inner
-            .sockets
-            .lock()
-            .get(&id.0)
-            .cloned()
-            .ok_or(NetError::BadSocket)
     }
 }
 
-impl NetBackend for TcpLoopback {
-    fn listen(&self, port: u16) -> Result<ListenerId, NetError> {
-        self.syscall()?;
-        let mut ports = self.inner.ports.lock();
-        if ports.contains_key(&port) {
-            return Err(NetError::PortInUse(port));
-        }
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
-        listener.set_nonblocking(true)?;
-        let os_port = listener.local_addr()?.port();
-        ports.insert(port, os_port);
-        let id = self.fresh_id();
-        self.inner
-            .listeners
-            .lock()
-            .insert(id, (Arc::new(listener), port));
-        Ok(ListenerId(id))
-    }
-
-    fn connect(&self, port: u16) -> Result<SocketId, NetError> {
-        self.syscall()?;
-        let os_port = *self
-            .inner
-            .ports
-            .lock()
-            .get(&port)
-            .ok_or(NetError::ConnectionRefused(port))?;
-        let stream = retry_intr(|| TcpStream::connect((Ipv4Addr::LOCALHOST, os_port)))
-            .map_err(|_| NetError::ConnectionRefused(port))?;
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        let id = self.fresh_id();
-        self.inner.sockets.lock().insert(id, Arc::new(stream));
-        Ok(SocketId(id))
-    }
-
-    fn accept(&self, listener: ListenerId) -> Result<Option<SocketId>, NetError> {
-        self.syscall()?;
-        let l = self
-            .inner
-            .listeners
-            .lock()
-            .get(&listener.0)
-            .map(|(l, _)| l.clone())
-            .ok_or(NetError::BadSocket)?;
-        match retry_intr(|| l.accept()) {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(true)?;
-                stream.set_nodelay(true)?;
-                let id = self.fresh_id();
-                self.inner.sockets.lock().insert(id, Arc::new(stream));
-                Ok(Some(SocketId(id)))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn send(&self, socket: SocketId, data: &[u8]) -> Result<usize, NetError> {
-        self.syscall()?;
-        let s = self.socket(socket)?;
-        match retry_intr(|| (&*s).write(data)) {
-            Ok(n) => Ok(n),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(0),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn recv(&self, socket: SocketId, buf: &mut [u8]) -> Result<RecvOutcome, NetError> {
-        self.syscall()?;
-        let s = self.socket(socket)?;
-        match retry_intr(|| (&*s).read(buf)) {
-            Ok(0) => Ok(RecvOutcome::Eof),
-            Ok(n) => Ok(RecvOutcome::Data(n)),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(RecvOutcome::WouldBlock),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn close(&self, socket: SocketId) -> Result<(), NetError> {
-        self.syscall()?;
-        self.inner
-            .sockets
-            .lock()
-            .remove(&socket.0)
-            .map(drop)
-            .ok_or(NetError::BadSocket)
-    }
-
-    fn close_listener(&self, listener: ListenerId) -> Result<(), NetError> {
-        self.syscall()?;
-        let (_listener, logical_port) = self
-            .inner
-            .listeners
-            .lock()
-            .remove(&listener.0)
-            .ok_or(NetError::BadSocket)?;
-        // Free the logical port mapping so the port can be re-listened.
-        self.inner.ports.lock().remove(&logical_port);
-        Ok(())
-    }
-}
+loopback_backend!(TcpLoopback, |net| Box::new(OpsRing::new(net.clone(), None)));
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ListenerId, NetBackend, NetError, RecvOutcome, SocketId};
+    use std::io::Write;
+    use std::sync::atomic::Ordering;
     use std::time::{Duration, Instant};
 
     use sgx_sim::{CostModel, Platform};
@@ -311,18 +165,22 @@ mod tests {
 
     #[test]
     fn close_while_peer_syscall_in_flight_is_safe() {
-        // The map entry goes away immediately, but the Arc handed to an
-        // in-flight syscall keeps the fd alive; subsequent calls on the
-        // closed id fail cleanly.
+        // The map entry goes away immediately and the connection is shut
+        // down, but the Arc handed to an in-flight syscall keeps the fd
+        // alive (its number cannot be recycled under the syscall);
+        // subsequent calls on the closed id fail cleanly.
         let n = net();
         let l = n.listen(7100).unwrap();
         let c = n.connect(7100).unwrap();
         let s = accept_one(&n, l);
-        let held = n.socket(c).unwrap();
+        let held = n.table.socket(c).unwrap();
         n.close(c).unwrap();
         assert!(matches!(n.send(c, b"x"), Err(NetError::BadSocket)));
-        // The held Arc still points at a live fd.
-        assert!((&*held).write(b"x").is_ok());
+        // The held Arc still points at a live fd — of a connection that
+        // is shut down, so the in-flight syscall ends with an error, not
+        // on somebody else's socket.
+        assert!(held.local_addr().is_ok());
+        assert!((&*held).write(b"x").is_err());
         drop(held);
         n.close(s).unwrap();
         n.close_listener(l).unwrap();

@@ -10,11 +10,10 @@
 //! every finished completion. A reap that finds already-posted CQEs
 //! costs **zero** syscalls.
 //!
-//! The synchronous [`NetBackend`] surface (listen / connect / polled
-//! send/recv / close) is identical to the epoll backend's so the
-//! conformance suite runs unmodified; only the multiplexing layer
-//! differs: [`NetBackend::completion_ring`] returns a [`UringRing`]
-//! instead of a `ReadySet`.
+//! The synchronous socket operations are the shared loopback table's
+//! (`table.rs`), as for every real-socket backend; only what sits
+//! beneath [`crate::NetBackend::completion_ring`] differs — here a
+//! [`UringRing`], the one ring that is not the `ops_ring.rs` adapter.
 //!
 //! # Buffer ownership
 //!
@@ -23,7 +22,7 @@
 //! memory is stable — `Box<[UnsafeCell<u8>]>` never moves) and the
 //! `Arc<TcpStream>`/`Arc<TcpListener>` handle pins the fd against
 //! close-and-reuse. That is the entire [`crate::uring_ffi::SqeBuf`]
-//! contract. Closing a socket additionally `shutdown(2)`s it so pinned
+//! contract. The table's `close` `shutdown(2)`s the socket, so pinned
 //! in-flight operations complete (EOF / `EPIPE`) instead of idling
 //! forever on a half-dead fd.
 //!
@@ -37,23 +36,18 @@
 //! [`IORING_OP_READ_FIXED`]: crate::uring_ffi::IORING_OP_READ_FIXED
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{Ipv4Addr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, FromRawFd};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use eactors::arena::{Arena, Node};
 use eactors::obs::{Counter, Log2Hist, MetricsRegistry};
-use sgx_sim::sync::Mutex;
-use sgx_sim::{current_domain, CostHandle};
+use sgx_sim::CostHandle;
 
-use crate::backend::{
-    Completion, CompletionRing, ListenerId, NetBackend, NetError, RecvOutcome, SocketId,
-};
-use crate::ffi;
-use crate::ioutil::retry_intr;
+use crate::backend::{untrusted, Completion, CompletionRing, ListenerId, NetError, SocketId};
+use crate::ops_ring::OpsRing;
+use crate::table::{loopback_backend, SocketTable};
 use crate::uring_ffi::{self, IoUringCqe, IoUringSqe, Ring, SqeBuf, IORING_CQE_F_MORE};
 
 /// Default SQ depth per ring. 256 slots cover the deepest consumer
@@ -85,94 +79,44 @@ fn os_err(negated: i32) -> NetError {
 /// Real loopback TCP with an io_uring completion engine.
 ///
 /// Construction always succeeds; ring availability is only decided when
-/// a consumer asks for its [`NetBackend::completion_ring`] (and the
-/// [`UringBackend::probe`] lets callers decide up front).
+/// a consumer asks for its [`NetBackend::completion_ring`] — where the
+/// kernel refuses, the consumer gets the polled adapter over the same
+/// socket table — and [`UringBackend::probe`] lets callers decide up
+/// front.
+///
+/// [`NetBackend::completion_ring`]: crate::NetBackend::completion_ring
 #[derive(Debug, Clone)]
 pub struct UringBackend {
-    inner: Arc<UringInner>,
-}
-
-#[derive(Debug)]
-struct UringInner {
-    costs: CostHandle,
-    next_id: AtomicU64,
-    listeners: Mutex<HashMap<u64, (Arc<TcpListener>, u16)>>,
-    ports: Mutex<HashMap<u16, u16>>, // logical port -> OS port
-    sockets: Mutex<HashMap<u64, Arc<TcpStream>>>,
-    /// Forced kernel buffer size for new sockets (tests use a small one
-    /// to provoke short writes the ring must resume).
-    buf_bytes: Option<usize>,
+    table: Arc<SocketTable>,
     /// SQ depth for rings created from this backend (tests shrink it to
     /// force flush-and-retry submission).
     ring_entries: u32,
 }
 
-impl UringInner {
-    /// Enclave code cannot reach the kernel — not even to queue work
-    /// for it. Refused before anything else, charged nothing.
-    fn untrusted(&self) -> Result<(), NetError> {
-        if current_domain().is_trusted() {
-            return Err(NetError::TrustedDomain);
-        }
-        Ok(())
-    }
-
-    /// One real system call is about to be issued.
-    fn syscall(&self) -> Result<(), NetError> {
-        self.untrusted()?;
-        self.costs.charge_syscall();
-        Ok(())
-    }
-
-    fn socket(&self, id: SocketId) -> Result<Arc<TcpStream>, NetError> {
-        self.sockets
-            .lock()
-            .get(&id.0)
-            .cloned()
-            .ok_or(NetError::BadSocket)
-    }
-
-    fn adopt(&self, stream: TcpStream) -> Result<u64, NetError> {
-        stream.set_nonblocking(true)?;
-        stream.set_nodelay(true)?;
-        if let Some(bytes) = self.buf_bytes {
-            ffi::set_buf_sizes(stream.as_raw_fd(), bytes)?;
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.sockets.lock().insert(id, Arc::new(stream));
-        Ok(id)
-    }
-}
-
 impl UringBackend {
     /// A fresh backend charging syscalls through `costs`.
     pub fn new(costs: CostHandle) -> Self {
-        Self::build(costs, None, DEFAULT_RING_ENTRIES)
+        UringBackend {
+            table: SocketTable::new(costs, None),
+            ring_entries: DEFAULT_RING_ENTRIES,
+        }
     }
 
     /// Like [`UringBackend::new`], but every socket's kernel buffers are
     /// shrunk to roughly `bytes` — used by tests to force short writes.
     pub fn with_buffer_size(costs: CostHandle, bytes: usize) -> Self {
-        Self::build(costs, Some(bytes), DEFAULT_RING_ENTRIES)
+        UringBackend {
+            table: SocketTable::new(costs, Some(bytes)),
+            ring_entries: DEFAULT_RING_ENTRIES,
+        }
     }
 
     /// Like [`UringBackend::new`], but rings get `entries` SQ slots —
     /// used by tests to force the full-SQ flush-and-retry path.
     pub fn with_ring_entries(costs: CostHandle, entries: u32) -> Self {
-        Self::build(costs, None, entries)
-    }
-
-    fn build(costs: CostHandle, buf_bytes: Option<usize>, ring_entries: u32) -> Self {
         UringBackend {
-            inner: Arc::new(UringInner {
-                costs,
-                next_id: AtomicU64::new(1),
-                listeners: Mutex::new(HashMap::new()),
-                ports: Mutex::new(HashMap::new()),
-                sockets: Mutex::new(HashMap::new()),
-                buf_bytes,
-                ring_entries,
-            }),
+            table: SocketTable::new(costs, None),
+            ring_entries: entries,
         }
     }
 
@@ -187,110 +131,12 @@ impl UringBackend {
     }
 }
 
-impl NetBackend for UringBackend {
-    fn listen(&self, port: u16) -> Result<ListenerId, NetError> {
-        self.inner.syscall()?;
-        let mut ports = self.inner.ports.lock();
-        if ports.contains_key(&port) {
-            return Err(NetError::PortInUse(port));
-        }
-        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0))?;
-        listener.set_nonblocking(true)?;
-        let os_port = listener.local_addr()?.port();
-        ports.insert(port, os_port);
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .listeners
-            .lock()
-            .insert(id, (Arc::new(listener), port));
-        Ok(ListenerId(id))
+loopback_backend!(UringBackend, |net| {
+    match UringRing::new(net.table.clone(), net.ring_entries) {
+        Ok(ring) => Box::new(ring),
+        Err(_) => Box::new(OpsRing::new(net.clone(), None)),
     }
-
-    fn connect(&self, port: u16) -> Result<SocketId, NetError> {
-        self.inner.syscall()?;
-        let os_port = *self
-            .inner
-            .ports
-            .lock()
-            .get(&port)
-            .ok_or(NetError::ConnectionRefused(port))?;
-        let stream = retry_intr(|| TcpStream::connect((Ipv4Addr::LOCALHOST, os_port)))
-            .map_err(|_| NetError::ConnectionRefused(port))?;
-        self.inner.adopt(stream).map(SocketId)
-    }
-
-    fn accept(&self, listener: ListenerId) -> Result<Option<SocketId>, NetError> {
-        self.inner.syscall()?;
-        let l = self
-            .inner
-            .listeners
-            .lock()
-            .get(&listener.0)
-            .map(|(l, _)| l.clone())
-            .ok_or(NetError::BadSocket)?;
-        match retry_intr(|| l.accept()) {
-            Ok((stream, _)) => Ok(Some(SocketId(self.inner.adopt(stream)?))),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(NetError::Io(e)),
-        }
-    }
-
-    fn send(&self, socket: SocketId, data: &[u8]) -> Result<usize, NetError> {
-        self.inner.syscall()?;
-        let stream = self.inner.socket(socket)?;
-        match retry_intr(|| (&*stream).write(data)) {
-            Ok(n) => Ok(n),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(0),
-            Err(e) => Err(NetError::Io(e)),
-        }
-    }
-
-    fn recv(&self, socket: SocketId, buf: &mut [u8]) -> Result<RecvOutcome, NetError> {
-        self.inner.syscall()?;
-        let stream = self.inner.socket(socket)?;
-        match retry_intr(|| (&*stream).read(buf)) {
-            Ok(0) => Ok(RecvOutcome::Eof),
-            Ok(n) => Ok(RecvOutcome::Data(n)),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(RecvOutcome::WouldBlock),
-            Err(e) => Err(NetError::Io(e)),
-        }
-    }
-
-    fn close(&self, socket: SocketId) -> Result<(), NetError> {
-        self.inner.syscall()?;
-        let stream = self
-            .inner
-            .sockets
-            .lock()
-            .remove(&socket.0)
-            .ok_or(NetError::BadSocket)?;
-        // In-flight ring submissions hold their own Arc to this stream,
-        // keeping the fd alive past this call; shutting the socket down
-        // makes those operations complete (EOF / EPIPE) promptly instead
-        // of pinning a half-dead connection until cancellation.
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-        Ok(())
-    }
-
-    fn close_listener(&self, listener: ListenerId) -> Result<(), NetError> {
-        self.inner.syscall()?;
-        let (_, port) = self
-            .inner
-            .listeners
-            .lock()
-            .remove(&listener.0)
-            .ok_or(NetError::BadSocket)?;
-        self.inner.ports.lock().remove(&port);
-        Ok(())
-    }
-
-    fn completion_ring(&self) -> Option<Box<dyn CompletionRing>> {
-        match UringRing::new(self.inner.clone()) {
-            Ok(ring) => Some(Box::new(ring)),
-            Err(_) => None,
-        }
-    }
-}
+});
 
 /// An in-flight receive: the node the kernel writes into, pinned with
 /// the stream whose fd the SQE names.
@@ -338,8 +184,8 @@ enum FixedBufs {
 
 /// One consumer's io_uring instance (see module docs).
 #[derive(Debug)]
-pub(crate) struct UringRing {
-    inner: Arc<UringInner>,
+struct UringRing {
+    table: Arc<SocketTable>,
     ring: Ring,
     recvs: HashMap<u64, InflightRecv>,
     sends: HashMap<u64, InflightSend>,
@@ -356,10 +202,10 @@ pub(crate) struct UringRing {
 }
 
 impl UringRing {
-    fn new(inner: Arc<UringInner>) -> std::io::Result<Self> {
-        let ring = Ring::new(inner.ring_entries)?;
+    fn new(table: Arc<SocketTable>, entries: u32) -> std::io::Result<Self> {
+        let ring = Ring::new(entries)?;
         Ok(UringRing {
-            inner,
+            table,
             ring,
             recvs: HashMap::new(),
             sends: HashMap::new(),
@@ -403,7 +249,7 @@ impl UringRing {
     /// `io_uring_enter` is charged as a syscall and counted, and nothing
     /// else is.
     fn enter(&mut self, min_complete: u32, timeout: Option<Duration>) -> std::io::Result<u32> {
-        self.inner.costs.charge_syscall();
+        self.table.charge_syscall();
         self.enter_syscalls.inc();
         let consumed = self.ring.enter(min_complete, timeout)?;
         self.sqe_submitted.add(u64::from(consumed));
@@ -522,10 +368,10 @@ impl UringRing {
             return;
         }
         let fl = self.recvs.remove(&id).expect("checked above");
-        let result = if cqe.res >= 0 {
-            Ok(cqe.res as usize)
-        } else {
-            Err(os_err(cqe.res))
+        let result = match cqe.res {
+            n if n >= 0 => Ok(n as usize),
+            n if -n == ECANCELED => Err(NetError::Canceled),
+            n => Err(os_err(n)),
         };
         out.push(Completion::Recv {
             socket: id,
@@ -584,7 +430,7 @@ impl UringRing {
             // Safety: a successful accept CQE transfers ownership of a
             // fresh fd; `adopt` (or the drop below) closes it once.
             let stream = unsafe { TcpStream::from_raw_fd(cqe.res) };
-            if let Ok(socket) = self.inner.adopt(stream) {
+            if let Ok(socket) = self.table.adopt(stream) {
                 out.push(Completion::Accepted {
                     listener: id,
                     socket,
@@ -619,18 +465,12 @@ impl UringRing {
 
 impl CompletionRing for UringRing {
     fn accept(&mut self, listener: ListenerId) -> Result<(), NetError> {
-        self.inner.untrusted()?;
+        untrusted()?;
         if let Some(watch) = self.accepts.get_mut(&listener.0) {
             watch.cancelled = false; // re-accept before the cancel landed
             return Ok(());
         }
-        let l = self
-            .inner
-            .listeners
-            .lock()
-            .get(&listener.0)
-            .map(|(l, _)| l.clone())
-            .ok_or(NetError::BadSocket)?;
+        let l = self.table.listener(listener)?;
         self.accepts.insert(
             listener.0,
             AcceptWatch {
@@ -660,7 +500,7 @@ impl CompletionRing for UringRing {
         node: Node,
         offset: usize,
     ) -> Result<(), (NetError, Node)> {
-        if let Err(e) = self.inner.untrusted() {
+        if let Err(e) = untrusted() {
             return Err((e, node));
         }
         if self.recvs.contains_key(&socket.0) {
@@ -670,7 +510,7 @@ impl CompletionRing for UringRing {
             debug_assert!(false, "recv_into offset leaves no room");
             return Err((NetError::WouldBlock, node));
         }
-        let stream = match self.inner.socket(socket) {
+        let stream = match self.table.socket(socket) {
             Ok(s) => s,
             Err(e) => return Err((e, node)),
         };
@@ -703,7 +543,7 @@ impl CompletionRing for UringRing {
         node: Node,
         offset: usize,
     ) -> Result<(), (NetError, Node)> {
-        if let Err(e) = self.inner.untrusted() {
+        if let Err(e) = untrusted() {
             return Err((e, node));
         }
         if self.sends.contains_key(&socket.0) {
@@ -713,7 +553,7 @@ impl CompletionRing for UringRing {
             debug_assert!(false, "send_node with nothing to send");
             return Err((NetError::WouldBlock, node));
         }
-        let stream = match self.inner.socket(socket) {
+        let stream = match self.table.socket(socket) {
             Ok(s) => s,
             Err(e) => return Err((e, node)),
         };
@@ -736,7 +576,7 @@ impl CompletionRing for UringRing {
         out: &mut Vec<Completion>,
         timeout: Option<Duration>,
     ) -> Result<usize, NetError> {
-        self.inner.untrusted()?;
+        untrusted()?;
         self.pump_backlog();
         let before = out.len();
         // Phase 1: already-posted completions — zero syscalls.
@@ -757,8 +597,8 @@ impl CompletionRing for UringRing {
         Ok(out.len() - before)
     }
 
-    fn wait_fd(&self) -> i32 {
-        self.ring.raw_fd()
+    fn wait_fd(&self) -> Option<i32> {
+        Some(self.ring.raw_fd())
     }
 
     fn bind_obs(&mut self, registry: &MetricsRegistry) {

@@ -5,11 +5,20 @@
 //! between backends is a bug in the backend, not in the caller; this
 //! suite is what keeps the fault-injection and permutation tests (which
 //! only run against sim) honest about the real backends.
+//!
+//! Two halves: the seven synchronous socket operations, then (the
+//! `ring_*` tests) the [`CompletionRing`] every backend puts on top of
+//! them — the one contract the system actors speak, whatever mechanism
+//! sits beneath it.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use enet::{ListenerId, NetBackend, NetError, RecvOutcome, SimNet, SocketId, TcpLoopback};
+use eactors::arena::Arena;
+use enet::{
+    Completion, CompletionRing, ListenerId, NetBackend, NetError, RecvOutcome, SimNet, SocketId,
+    TcpLoopback,
+};
 use sgx_sim::{CostModel, Platform};
 
 fn platform() -> Platform {
@@ -34,12 +43,11 @@ fn backends() -> Vec<(&'static str, Platform, Arc<dyn NetBackend>)> {
         match enet::UringBackend::probe() {
             Ok(()) => {
                 let p = platform();
-                let net = enet::UringBackend::new(p.costs());
-                assert!(
-                    net.completion_ring().is_some(),
-                    "a probed-ok uring backend must offer a completion ring"
-                );
-                v.push(("uring", p.clone(), Arc::new(net)));
+                v.push((
+                    "uring",
+                    p.clone(),
+                    Arc::new(enet::UringBackend::new(p.costs())),
+                ));
             }
             Err(reason) => eprintln!("skipping uring conformance: {reason}"),
         }
@@ -351,22 +359,381 @@ fn enclave_domain_rejected_on_every_backend() {
     }
 }
 
-/// Readiness sets and completion rings are optional: polling backends
-/// return `None` for both, the epoll backend returns an independent
-/// readiness set per call, and the uring backend a completion ring.
-#[test]
-fn ready_set_availability_matches_backend() {
-    for (name, _p, net) in backends() {
-        let has_ready = net.ready_set().is_some();
-        let has_ring = net.completion_ring().is_some();
-        match name {
-            "sim" | "tcp" => {
-                assert!(!has_ready, "[{name}] unexpectedly offers readiness");
-                assert!(!has_ring, "[{name}] unexpectedly offers completions");
-            }
-            "epoll" => assert!(has_ready, "[{name}] readiness missing"),
-            "uring" => assert!(has_ring, "[{name}] completion ring missing"),
-            _ => unreachable!(),
+// ---------------------------------------------------------------------
+// The completion ring: one contract over every backend.
+// ---------------------------------------------------------------------
+
+/// A connected pair on a fresh listener of `net`: (listener, client end,
+/// server end).
+fn pair(net: &dyn NetBackend, name: &str) -> (ListenerId, SocketId, SocketId) {
+    let l = net.listen(8000).unwrap();
+    let c = net.connect(8000).unwrap();
+    (l, c, accept_one(net, l, name))
+}
+
+/// Reap until `want` completions have arrived (or a deadline passes). A
+/// ring with a descriptor sleeps in the reap; one without is polled.
+fn reap_until(ring: &mut dyn CompletionRing, out: &mut Vec<Completion>, want: usize, name: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while out.len() < want {
+        ring.reap(out, Some(Duration::from_millis(20))).unwrap();
+        assert!(
+            Instant::now() < deadline,
+            "[{name}] reap timed out at {} of {want} completions",
+            out.len()
+        );
+        std::thread::yield_now();
+    }
+}
+
+/// The one finished receive in `out`: (socket, payload bytes or error).
+fn take_recv(out: &mut Vec<Completion>, name: &str) -> (u64, Result<Vec<u8>, NetError>, Vec<u8>) {
+    assert_eq!(out.len(), 1, "[{name}] exactly one completion");
+    match out.pop().unwrap() {
+        Completion::Recv {
+            socket,
+            mut node,
+            offset,
+            result,
+        } => {
+            let header = node.buffer_mut()[..offset].to_vec();
+            let payload = result.map(|n| node.buffer_mut()[offset..offset + n].to_vec());
+            (socket, payload, header)
         }
+        other => panic!("[{name}] unexpected completion {other:?}"),
+    }
+}
+
+/// Data that arrived before the receive was submitted completes it —
+/// no new edge is needed — and a receive at an offset leaves the bytes
+/// below it alone.
+#[test]
+fn ring_receive_completes_on_data_already_there_and_respects_the_offset() {
+    for (name, _p, net) in backends() {
+        let (_l, c, s) = pair(net.as_ref(), name);
+        let mut ring = net.completion_ring();
+        // Four bytes of room per node, eight bytes on the wire: the first
+        // completion proves the whole write arrived, so the second half
+        // is already waiting when its receive goes in.
+        let arena = Arena::new("ring-offset", 2, 8);
+        assert_eq!(net.send(c, b"12345678").unwrap(), 8, "[{name}]");
+        let mut out = Vec::new();
+        for want in [&b"1234"[..], b"5678"] {
+            let mut node = arena.try_pop().unwrap();
+            node.buffer_mut()[..4].copy_from_slice(b"HEAD");
+            ring.recv_into(s, node, 4).unwrap();
+            reap_until(ring.as_mut(), &mut out, 1, name);
+            let (socket, payload, header) = take_recv(&mut out, name);
+            assert_eq!(socket, s.0, "[{name}]");
+            assert_eq!(payload.unwrap(), want, "[{name}]");
+            assert_eq!(header, b"HEAD", "[{name}] header bytes overwritten");
+        }
+    }
+}
+
+/// A send larger than the socket buffer stays inside the ring until the
+/// last byte is out: one `Sent { Ok }`, bytes in order, and a second send
+/// on the busy socket is refused with its node.
+#[test]
+fn ring_send_resumes_short_writes_and_surfaces_one_completion() {
+    for (name, net, total) in small_buffer_backends() {
+        // With the kernel buffers shrunk every window is a stall of tens
+        // of milliseconds, so the pump test's volume would take half a
+        // minute here. One loopback segment (64 KiB) is what the kernel
+        // swallows whatever the buffer size; the rest shows the resume.
+        let total = match name {
+            "epoll" | "uring" => total * 3 / 8,
+            _ => total,
+        };
+        let (_l, c, s) = pair(net.as_ref(), name);
+        let mut ring = net.completion_ring();
+        let arena = Arena::new("ring-big", 2, total);
+        let pattern = |i: usize| (i % 251) as u8;
+        let mut node = arena.try_pop().unwrap();
+        for (i, b) in node.buffer_mut().iter_mut().enumerate() {
+            *b = pattern(i);
+        }
+        node.set_len(total);
+        ring.send_node(c, node, 0).unwrap();
+
+        let mut out = Vec::new();
+        ring.reap(&mut out, Some(Duration::ZERO)).unwrap();
+        assert!(
+            out.is_empty(),
+            "[{name}] nobody drains the peer yet — raise the payload"
+        );
+        let mut second = arena.try_pop().unwrap();
+        second.write(b"queue-jumper");
+        let (e, _node) = ring.send_node(c, second, 0).unwrap_err();
+        assert!(matches!(e, NetError::WouldBlock), "[{name}] got {e:?}");
+
+        let mut received = Vec::with_capacity(total);
+        let mut buf = vec![0u8; 64 * 1024];
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while received.len() < total {
+            match net.recv(s, &mut buf).unwrap() {
+                RecvOutcome::Data(k) => received.extend_from_slice(&buf[..k]),
+                RecvOutcome::WouldBlock => {
+                    ring.reap(&mut out, Some(Duration::ZERO)).unwrap();
+                }
+                RecvOutcome::Eof => panic!("[{name}] premature eof"),
+            }
+            assert!(Instant::now() < deadline, "[{name}] pump timed out");
+        }
+        reap_until(ring.as_mut(), &mut out, 1, name);
+        assert_eq!(out.len(), 1, "[{name}] one completion per node");
+        assert!(
+            matches!(&out[0], Completion::Sent { socket, result: Ok(()), .. } if *socket == c.0),
+            "[{name}] got {:?}",
+            out[0]
+        );
+        for (i, &b) in received.iter().enumerate() {
+            assert_eq!(b, pattern(i), "[{name}] byte {i} out of order");
+        }
+    }
+}
+
+/// One receive in flight per socket: the second is refused with its
+/// node. Cancelling hands the first node back — as `Canceled` when
+/// nothing arrived, never silently.
+#[test]
+fn ring_second_receive_is_refused_and_cancel_returns_the_node() {
+    for (name, _p, net) in backends() {
+        let (_l, _c, s) = pair(net.as_ref(), name);
+        let mut ring = net.completion_ring();
+        // A two-node pool makes the leak check exact.
+        let arena = Arena::new("ring-cancel", 2, 64);
+        ring.recv_into(s, arena.try_pop().unwrap(), 0).unwrap();
+        let (e, node) = ring.recv_into(s, arena.try_pop().unwrap(), 0).unwrap_err();
+        assert!(matches!(e, NetError::WouldBlock), "[{name}] got {e:?}");
+        drop(node);
+
+        let mut out = Vec::new();
+        // Flush the submission; no data is coming, so nothing completes.
+        ring.reap(&mut out, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert!(out.is_empty(), "[{name}]");
+        assert_eq!(arena.free_nodes(), 1, "[{name}] one node is in flight");
+        ring.cancel_recv(s);
+        reap_until(ring.as_mut(), &mut out, 1, name);
+        let (socket, payload, _) = take_recv(&mut out, name);
+        assert_eq!(socket, s.0, "[{name}]");
+        assert!(
+            matches!(payload, Err(NetError::Canceled)),
+            "[{name}] got {payload:?}"
+        );
+        assert_eq!(arena.free_nodes(), 2, "[{name}] cancelled node leaked");
+        // The socket is still good for a new receive.
+        ring.recv_into(s, arena.try_pop().unwrap(), 0).unwrap();
+    }
+}
+
+/// A receive that loses the race against its cancellation still hands
+/// its data over: either outcome, never neither, and no byte lost.
+#[test]
+fn ring_cancel_racing_data_loses_nothing() {
+    for (name, _p, net) in backends() {
+        let (_l, c, s) = pair(net.as_ref(), name);
+        let mut ring = net.completion_ring();
+        let arena = Arena::new("ring-race", 2, 64);
+        ring.recv_into(s, arena.try_pop().unwrap(), 0).unwrap();
+        let mut out = Vec::new();
+        ring.reap(&mut out, Some(Duration::ZERO)).unwrap();
+        assert_eq!(net.send(c, b"racer").unwrap(), 5, "[{name}]");
+        ring.cancel_recv(s);
+        reap_until(ring.as_mut(), &mut out, 1, name);
+        let (_, payload, _) = take_recv(&mut out, name);
+        match payload {
+            Ok(bytes) => assert_eq!(bytes, b"racer", "[{name}]"),
+            Err(NetError::Canceled) => {
+                // The bytes stayed in the socket for the next receive.
+                ring.recv_into(s, arena.try_pop().unwrap(), 0).unwrap();
+                reap_until(ring.as_mut(), &mut out, 1, name);
+                let (_, payload, _) = take_recv(&mut out, name);
+                assert_eq!(payload.unwrap(), b"racer", "[{name}]");
+            }
+            Err(e) => panic!("[{name}] neither data nor Canceled: {e:?}"),
+        }
+    }
+}
+
+#[test]
+fn ring_reports_eof_as_zero_bytes() {
+    for (name, _p, net) in backends() {
+        let (_l, c, s) = pair(net.as_ref(), name);
+        let mut ring = net.completion_ring();
+        let arena = Arena::new("ring-eof", 1, 64);
+        ring.recv_into(s, arena.try_pop().unwrap(), 0).unwrap();
+        net.close(c).unwrap();
+        let mut out = Vec::new();
+        reap_until(ring.as_mut(), &mut out, 1, name);
+        let (_, payload, _) = take_recv(&mut out, name);
+        assert_eq!(payload.unwrap(), b"", "[{name}] EOF is Ok(0)");
+    }
+}
+
+#[test]
+fn ring_hands_nodes_of_unknown_ids_back() {
+    for (name, _p, net) in backends() {
+        let mut ring = net.completion_ring();
+        let arena = Arena::new("ring-bogus", 1, 64);
+        let bogus = SocketId(u64::MAX / 2);
+        let (e, mut node) = ring
+            .recv_into(bogus, arena.try_pop().unwrap(), 0)
+            .unwrap_err();
+        assert!(matches!(e, NetError::BadSocket), "[{name}] recv {e:?}");
+        node.write(b"x");
+        let (e, node) = ring.send_node(bogus, node, 0).unwrap_err();
+        assert!(matches!(e, NetError::BadSocket), "[{name}] send {e:?}");
+        drop(node);
+        assert!(
+            matches!(
+                ring.accept(ListenerId(u64::MAX / 2)),
+                Err(NetError::BadSocket)
+            ),
+            "[{name}] accept"
+        );
+        assert_eq!(arena.free_nodes(), 1, "[{name}] node leaked");
+    }
+}
+
+/// A connection that was pending before the accept was armed, and one
+/// that arrives after, both surface pre-accepted and usable.
+#[test]
+fn ring_accepts_pending_and_later_connections() {
+    for (name, _p, net) in backends() {
+        let l = net.listen(8100).unwrap();
+        let mut ring = net.completion_ring();
+        let first = net.connect(8100).unwrap();
+        ring.accept(l).unwrap();
+        ring.accept(l).unwrap(); // idempotent while armed
+        let mut out = Vec::new();
+        reap_until(ring.as_mut(), &mut out, 1, name);
+        let second = net.connect(8100).unwrap();
+        reap_until(ring.as_mut(), &mut out, 2, name);
+        assert_eq!(out.len(), 2, "[{name}] one completion per connection");
+        for (client, completion) in [first, second].into_iter().zip(out) {
+            let Completion::Accepted { listener, socket } = completion else {
+                panic!("[{name}] unexpected completion {completion:?}");
+            };
+            assert_eq!(listener, l.0, "[{name}]");
+            assert!(net.send(client, b"hi").unwrap() > 0, "[{name}]");
+            let got = recv_all(net.as_ref(), SocketId(socket), 2, name);
+            assert_eq!(got, b"hi", "[{name}] accepted socket not adopted");
+        }
+    }
+}
+
+/// Every fallible ring entry point refuses enclave callers before it
+/// does — or charges — anything.
+#[test]
+fn ring_refuses_enclave_callers_and_charges_them_nothing() {
+    for (name, p, net) in backends() {
+        let (l, _c, s) = pair(net.as_ref(), name);
+        let mut ring = net.completion_ring();
+        let arena = Arena::new("ring-enclave", 2, 64);
+        let mut payload = arena.try_pop().unwrap();
+        payload.write(b"x");
+        let (recv_node, mut out) = (arena.try_pop().unwrap(), Vec::new());
+
+        let enclave = p.create_enclave("ring", 4096).unwrap();
+        let charged = p.stats().syscalls();
+        let prev = sgx_sim::switch_domain(&p.costs(), enclave.domain());
+        let accept = ring.accept(l);
+        let recv = ring.recv_into(s, recv_node, 0);
+        let send = ring.send_node(s, payload, 0);
+        let reap = ring.reap(&mut out, Some(Duration::ZERO));
+        sgx_sim::switch_domain(&p.costs(), prev);
+
+        assert!(matches!(accept, Err(NetError::TrustedDomain)), "[{name}]");
+        assert!(
+            matches!(recv, Err((NetError::TrustedDomain, _))),
+            "[{name}]"
+        );
+        assert!(
+            matches!(send, Err((NetError::TrustedDomain, _))),
+            "[{name}]"
+        );
+        assert!(matches!(reap, Err(NetError::TrustedDomain)), "[{name}]");
+        assert_eq!(p.stats().syscalls(), charged, "[{name}] refusal charged");
+    }
+}
+
+/// Keeping an operation in flight is not a system call: what a ring
+/// charges is what it issues. For the rings without a kernel multiplexer
+/// that is one plain operation per try — none while nothing is in flight.
+#[test]
+fn ring_without_a_descriptor_charges_one_syscall_per_try() {
+    for (name, p, net) in backends() {
+        let (_l, _c, s) = pair(net.as_ref(), name);
+        let mut ring = net.completion_ring();
+        if ring.wait_fd().is_some() {
+            continue;
+        }
+        let arena = Arena::new("ring-charge", 1, 64);
+        let mut out = Vec::new();
+        let charged = p.stats().syscalls();
+        ring.reap(&mut out, Some(Duration::ZERO)).unwrap();
+        assert_eq!(p.stats().syscalls(), charged, "[{name}] idle reap charged");
+        ring.recv_into(s, arena.try_pop().unwrap(), 0).unwrap();
+        assert_eq!(p.stats().syscalls() - charged, 1, "[{name}] submission");
+        for _ in 0..10 {
+            ring.reap(&mut out, Some(Duration::ZERO)).unwrap();
+        }
+        assert_eq!(p.stats().syscalls() - charged, 11, "[{name}] retries");
+        ring.cancel_recv(s);
+        ring.reap(&mut out, Some(Duration::ZERO)).unwrap();
+        assert_eq!(p.stats().syscalls() - charged, 11, "[{name}] cancel");
+    }
+}
+
+/// Whether `fd` polls readable within `timeout_ms`.
+#[cfg(target_os = "linux")]
+fn polls_readable(fd: i32, timeout_ms: i32) -> bool {
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+    }
+    const POLLIN: i16 = 1;
+    let mut pfd = PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    };
+    // SAFETY: `pfd` is one valid, exclusively borrowed pollfd and `nfds`
+    // says so; the kernel writes only `revents`.
+    let n = unsafe { poll(&mut pfd, 1, timeout_ms) };
+    n == 1 && pfd.revents & POLLIN != 0
+}
+
+/// The rings a worker can sleep on (epoll, io_uring) expose a descriptor
+/// that is readable exactly while a reap would find something; the
+/// others expose none and are paced by their worker.
+#[cfg(target_os = "linux")]
+#[test]
+fn ring_descriptor_is_readable_while_completions_wait() {
+    for (name, _p, net) in backends() {
+        let (_l, c, s) = pair(net.as_ref(), name);
+        let mut ring = net.completion_ring();
+        let Some(fd) = ring.wait_fd() else {
+            assert!(matches!(name, "sim" | "tcp"), "[{name}] must be pollable");
+            continue;
+        };
+        assert!(matches!(name, "epoll" | "uring"), "[{name}] has no kernel");
+        let arena = Arena::new("ring-fd", 1, 64);
+        ring.recv_into(s, arena.try_pop().unwrap(), 0).unwrap();
+        let mut out = Vec::new();
+        assert_eq!(ring.reap(&mut out, Some(Duration::ZERO)).unwrap(), 0);
+        assert!(!polls_readable(fd, 1), "[{name}] nothing pending");
+
+        assert!(net.send(c, b"ping").unwrap() > 0, "[{name}]");
+        assert!(polls_readable(fd, 5_000), "[{name}] news, not readable");
+        assert_eq!(ring.reap(&mut out, Some(Duration::ZERO)).unwrap(), 1);
+        assert!(!polls_readable(fd, 1), "[{name}] reaped: quiet again");
     }
 }

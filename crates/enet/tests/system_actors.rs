@@ -3,6 +3,7 @@
 //! real-socket interchangeability.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use eactors::actor::Actor;
 use eactors::arena::{Arena, Mbox};
@@ -15,6 +16,37 @@ use sgx_sim::{CostModel, Platform};
 
 fn platform() -> Platform {
     Platform::builder().cost_model(CostModel::zero()).build()
+}
+
+/// Every backend this host offers, by name, charging `p`.
+fn backends(p: &Platform) -> Vec<(&'static str, Arc<dyn NetBackend>)> {
+    let mut v: Vec<(&'static str, Arc<dyn NetBackend>)> = vec![
+        ("sim", Arc::new(SimNet::new(p.costs()))),
+        ("tcp", Arc::new(TcpLoopback::new(p.costs()))),
+    ];
+    #[cfg(target_os = "linux")]
+    {
+        v.push(("epoll", Arc::new(enet::EpollBackend::new(p.costs()))));
+        match enet::UringBackend::probe() {
+            Ok(()) => v.push(("uring", Arc::new(enet::UringBackend::new(p.costs())))),
+            Err(why) => eprintln!("skipping the uring runs ({why})"),
+        }
+    }
+    v
+}
+
+/// A connected pair on `net`: (client end, server end).
+fn socket_pair(net: &dyn NetBackend, port: u16) -> (enet::SocketId, enet::SocketId) {
+    let l = net.listen(port).unwrap();
+    let c = net.connect(port).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        if let Some(s) = net.accept(l).unwrap() {
+            return (c, s);
+        }
+        assert!(Instant::now() < deadline, "accept timed out");
+        std::thread::yield_now();
+    }
 }
 
 /// Drive a single actor until `done` reports completion.
@@ -165,6 +197,174 @@ fn closer_closes_and_peer_sees_eof() {
     });
 }
 
+/// Regression: `Close` of a socket the READER still watches. The ring
+/// may pin the descriptor (an epoll registration, an io_uring receive),
+/// so dropping the table's handle alone left the connection open — the
+/// peer saw no EOF until somebody sent `Unwatch`. Closing shuts the
+/// connection down: the peer reads EOF and the subscriber is told, both
+/// within a bounded wait, on every backend.
+#[test]
+fn close_of_a_watched_socket_reaches_the_peer_and_the_subscriber() {
+    const BOUND: Duration = Duration::from_secs(5);
+    let p = platform();
+    for (name, net) in backends(&p) {
+        let pool = Arena::new("pool", 64, 256);
+        let sys = SystemActors::new(net.clone(), pool.clone());
+        let (client, server) = socket_pair(net.as_ref(), 9);
+        let replies: NetPort = Port::new(Mbox::new(pool, 16));
+        let r = sys.dir.register(replies.mbox().clone());
+        sys.reader_requests.send(&NetMsg::WatchSocket {
+            socket: server.0,
+            reply: r,
+        });
+        // A frame through the watch proves the READER holds the socket
+        // (it re-arms in the pass that delivers).
+        assert!(net.send(client, b"armed?").unwrap() > 0, "[{name}]");
+
+        let closer_rq = sys.closer_requests.clone();
+        let mut closed_at = None;
+        let (mut peer_eof, mut told) = (false, false);
+        let driver = move |ctx: &mut Ctx| {
+            let Some(since) = closed_at else {
+                if replies.recv(|m| matches!(m, NetMsg::Data { .. })) == Some(true) {
+                    closer_rq.send(&NetMsg::Close { socket: server.0 });
+                    closed_at = Some(Instant::now());
+                }
+                return Control::Idle;
+            };
+            told |= replies
+                .recv(|m| matches!(m, NetMsg::SocketClosed { socket } if socket == server.0))
+                == Some(true);
+            peer_eof |= matches!(net.recv(client, &mut [0u8; 8]), Ok(RecvOutcome::Eof));
+            if peer_eof && told {
+                ctx.shutdown();
+                return Control::Park;
+            }
+            assert!(
+                since.elapsed() < BOUND,
+                "[{name}] peer saw EOF: {peer_eof}, subscriber told: {told}"
+            );
+            Control::Idle
+        };
+
+        let mut b = DeploymentBuilder::new();
+        let a_read = b.actor("reader", Placement::Untrusted, sys.reader);
+        let a_close = b.actor("closer", Placement::Untrusted, sys.closer);
+        let a_drive = b.actor("driver", Placement::Untrusted, eactors::from_fn(driver));
+        b.worker(&[a_read]);
+        b.worker(&[a_close, a_drive]);
+        Runtime::start(&p, b.build().expect("valid"))
+            .expect("start")
+            .join();
+    }
+}
+
+/// Regression: a second `WatchListener` for a watched listener used to
+/// add a duplicate watch; connections kept going to the first reply
+/// mbox, and when that was unregistered the sweep cancelled the accept —
+/// the listener went deaf under a live subscription. A re-watch replaces
+/// the reply, as it does for sockets.
+#[test]
+fn accepter_rewatch_moves_the_subscription() {
+    let p = platform();
+    for (name, net) in backends(&p) {
+        let pool = Arena::new("pool", 64, 128);
+        let sys = SystemActors::new(net.clone(), pool.clone());
+        let l = net.listen(300).unwrap();
+        let old: NetPort = Port::new(Mbox::new(pool.clone(), 16));
+        let new: NetPort = Port::new(Mbox::new(pool, 16));
+        let old_ref = sys.dir.register(old.mbox().clone());
+        let new_ref = sys.dir.register(new.mbox().clone());
+        for reply in [old_ref, new_ref] {
+            sys.accepter_requests.send(&NetMsg::WatchListener {
+                listener: l.0,
+                reply,
+            });
+        }
+
+        let dir = sys.dir.clone();
+        let requests = sys.accepter_requests.clone();
+        let mut connected = false;
+        drive_actor(&p, sys.accepter, move |ctx| {
+            if !connected {
+                // Both requests are consumed before the old subscriber
+                // leaves; only then does a client show up.
+                if !requests.mbox().is_empty() {
+                    return Control::Idle;
+                }
+                dir.unregister(old_ref);
+                net.connect(300).unwrap();
+                connected = true;
+                return Control::Busy;
+            }
+            assert!(old.recv_node().is_none(), "[{name}] old mbox served");
+            match new.recv(|m| matches!(m, NetMsg::Accepted { listener, .. } if listener == l.0)) {
+                Some(true) => {
+                    ctx.shutdown();
+                    Control::Park
+                }
+                Some(false) => panic!("[{name}] unexpected message"),
+                None => Control::Idle,
+            }
+        });
+    }
+}
+
+/// The two-phase unwatch on every backend: whatever the socket produces
+/// around an `Unwatch` reaches the subscriber *before* the `Unwatched`
+/// ack or not at all — never after it.
+#[test]
+fn unwatched_ack_follows_in_flight_data_on_every_backend() {
+    let p = platform();
+    for (name, net) in backends(&p) {
+        let pool = Arena::new("pool", 64, 256);
+        let sys = SystemActors::new(net.clone(), pool.clone());
+        let (client, server) = socket_pair(net.as_ref(), 9);
+        let replies: NetPort = Port::new(Mbox::new(pool, 16));
+        let r = sys.dir.register(replies.mbox().clone());
+        sys.reader_requests.send(&NetMsg::WatchSocket {
+            socket: server.0,
+            reply: r,
+        });
+        assert!(net.send(client, b"first").unwrap() > 0, "[{name}]");
+
+        let reader_rq = sys.reader_requests.clone();
+        let (mut unwatch_sent, mut acked, mut quiet_passes) = (false, false, 0);
+        drive_actor(&p, sys.reader, move |ctx| {
+            enum Seen {
+                Data,
+                Ack,
+                Other,
+            }
+            let seen = replies.recv(|m| match m {
+                NetMsg::Data { .. } => Seen::Data,
+                NetMsg::Unwatched { socket } if socket == server.0 => Seen::Ack,
+                _ => Seen::Other,
+            });
+            match seen {
+                Some(Seen::Data) if !unwatch_sent => {
+                    // A receive is in flight again; race it.
+                    reader_rq.send(&NetMsg::Unwatch { socket: server.0 });
+                    assert!(net.send(client, b"late").unwrap() > 0, "[{name}]");
+                    unwatch_sent = true;
+                }
+                Some(Seen::Data) => assert!(!acked, "[{name}] Data after Unwatched"),
+                Some(Seen::Ack) => acked = true,
+                Some(Seen::Other) => panic!("[{name}] unexpected message"),
+                None if acked => {
+                    quiet_passes += 1;
+                    if quiet_passes > 50 {
+                        ctx.shutdown();
+                        return Control::Park;
+                    }
+                }
+                None => {}
+            }
+            Control::Idle
+        });
+    }
+}
+
 #[test]
 fn system_actors_work_over_real_tcp_sockets() {
     // The same actor set over the std::net loopback backend: backends
@@ -253,21 +453,24 @@ fn system_actors_work_over_real_tcp_sockets() {
         .join();
 }
 
-/// Full echo loop over the epoll readiness backend: OPENER, ACCEPTER,
-/// READER and WRITER (the latter two as real deployment actors, so
-/// their `ctor` declares the epoll descriptors and their workers park on
-/// them), an enclave-side echo actor flipping `Data` into `Write`
-/// frames, and a kernel-socket client thread.
-#[cfg(target_os = "linux")]
+/// Full echo loop over every backend: OPENER, ACCEPTER, READER and
+/// WRITER as real deployment actors (their `ctor` declares the ring
+/// descriptors where there are any, so their workers park on them), an
+/// echo actor flipping `Data` into `Write` frames, and a client thread on
+/// the backend's plain socket operations.
 #[test]
-fn echo_service_over_epoll_readiness_backend() {
-    use enet::{data_frame_into_write, EpollBackend};
-
+fn echo_service_over_every_backend() {
     let p = platform();
-    let epoll = EpollBackend::new(p.costs());
-    let net: Arc<dyn NetBackend> = Arc::new(epoll.clone());
+    for (name, net) in backends(&p) {
+        echo_service(&p, name, net);
+    }
+}
+
+fn echo_service(p: &Platform, name: &'static str, net: Arc<dyn NetBackend>) {
+    use enet::data_frame_into_write;
+
     let pool = Arena::new("pool", 256, 512);
-    let sys = SystemActors::new(net, pool.clone());
+    let sys = SystemActors::new(net.clone(), pool.clone());
 
     let replies: NetPort = Port::new(Mbox::new(pool, 64));
     let r = sys.dir.register(replies.mbox().clone());
@@ -281,7 +484,6 @@ fn echo_service_over_epoll_readiness_backend() {
     let writer_rq = sys.writer_requests.clone();
 
     const ROUNDS: usize = 50;
-    let epoll2 = epoll.clone();
     let client: std::sync::Mutex<Option<std::thread::JoinHandle<()>>> = std::sync::Mutex::new(None);
     let mut echoes = 0usize;
     let driver = move |ctx: &mut Ctx| {
@@ -302,7 +504,7 @@ fn echo_service_over_epoll_readiness_backend() {
                     });
                     // Real client on a plain kernel socket, closed-loop:
                     // each request waits for its echo before the next.
-                    let net = epoll2.clone();
+                    let net = net.clone();
                     *client.lock().unwrap() = Some(std::thread::spawn(move || {
                         let c = net.connect(5222).unwrap();
                         let mut buf = [0u8; 64];
@@ -319,7 +521,7 @@ fn echo_service_over_epoll_readiness_backend() {
                                     enet::RecvOutcome::Eof => panic!("premature eof"),
                                 }
                             }
-                            assert_eq!(&buf[..got], msg.as_bytes());
+                            assert_eq!(&buf[..got], msg.as_bytes(), "[{name}]");
                         }
                     }));
                 }
@@ -352,7 +554,7 @@ fn echo_service_over_epoll_readiness_backend() {
     b.worker(&[a1, a2, a5]);
     b.worker(&[a3]);
     b.worker(&[a4]);
-    Runtime::start(&p, b.build().expect("valid"))
+    Runtime::start(p, b.build().expect("valid"))
         .expect("start")
         .join();
 }

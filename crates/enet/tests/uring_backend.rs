@@ -1,6 +1,7 @@
-//! io_uring backend integration tests: syscall amortization, torn
-//! submission under a tiny ring, cancellation returning nodes to their
-//! pools, and an end-to-end echo service through a real [`Runtime`].
+//! io_uring-only integration tests: syscall amortization, charged ==
+//! issued, and torn submission under a tiny ring. What every ring must
+//! do — io_uring's included — is in `backend_contract.rs`; the end-to-end
+//! echo service over every backend is in `system_actors.rs`.
 //!
 //! Every test begins by probing the kernel and **skips with a message**
 //! where io_uring is unavailable (seccomp'd CI runners, old kernels) —
@@ -8,16 +9,11 @@
 
 #![cfg(target_os = "linux")]
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use eactors::arena::{Arena, Mbox};
+use eactors::arena::Arena;
 use eactors::obs::MetricsRegistry;
-use eactors::prelude::*;
-use enet::{
-    Completion, NetBackend, NetError, NetMsg, NetPort, RecvOutcome, SocketId, SystemActors,
-    UringBackend,
-};
+use enet::{Completion, NetBackend, NetError, SocketId, UringBackend};
 use sgx_sim::{CostModel, Platform};
 
 fn platform() -> Platform {
@@ -82,7 +78,7 @@ fn batched_receives_amortize_enter_syscalls() {
     let Some((_p, net)) = probe_backend("batched_receives_amortize_enter_syscalls") else {
         return;
     };
-    let mut ring = net.completion_ring().unwrap();
+    let mut ring = net.completion_ring();
     let registry = MetricsRegistry::new();
     ring.bind_obs(&registry);
 
@@ -133,7 +129,7 @@ fn the_ring_charges_one_syscall_per_enter_and_nothing_else() {
     else {
         return;
     };
-    let mut ring = net.completion_ring().unwrap();
+    let mut ring = net.completion_ring();
     let registry = MetricsRegistry::new();
     ring.bind_obs(&registry);
     let (c, s) = socket_pairs(&net, 1)[0];
@@ -192,7 +188,7 @@ fn tiny_ring_retries_backlogged_sqes_without_loss() {
     }
     let p = platform();
     let net = UringBackend::with_ring_entries(p.costs(), 4);
-    let mut ring = net.completion_ring().unwrap();
+    let mut ring = net.completion_ring();
 
     let pairs = socket_pairs(&net, PAIRS);
     for (i, (c, _s)) in pairs.iter().enumerate() {
@@ -226,152 +222,4 @@ fn tiny_ring_retries_backlogged_sqes_without_loss() {
     payloads.sort();
     let want: Vec<String> = (0..PAIRS).map(|i| format!("torn-{i:02}")).collect();
     assert_eq!(payloads, want, "every backlogged receive must complete");
-}
-
-/// Cancelling an armed receive surfaces a completion carrying the node,
-/// which recycles to its pool — cancellation leaks nothing.
-#[test]
-fn cancel_recv_returns_the_node_to_its_pool() {
-    let Some((_p, net)) = probe_backend("cancel_recv_returns_the_node_to_its_pool") else {
-        return;
-    };
-    let mut ring = net.completion_ring().unwrap();
-    let pairs = socket_pairs(&net, 1);
-    let (_c, s) = pairs[0];
-
-    // A single-node pool makes the leak check exact.
-    let arena = Arena::new("uring-cancel", 1, 256);
-    let node = arena.try_pop().unwrap();
-    ring.recv_into(s, node, 0).unwrap();
-    assert!(
-        arena.try_pop().is_none(),
-        "the pool's one node is in flight"
-    );
-
-    let mut completions = Vec::new();
-    // Flush the submission; no data is coming, so nothing completes yet.
-    ring.reap(&mut completions, Some(Duration::from_millis(20)))
-        .unwrap();
-    ring.cancel_recv(s);
-    reap_until(ring.as_mut(), &mut completions, 1);
-
-    match &completions[0] {
-        Completion::Recv { socket, result, .. } => {
-            assert_eq!(*socket, s.0);
-            assert!(
-                matches!(result, Err(NetError::Io(_))),
-                "expected ECANCELED, got {result:?}"
-            );
-        }
-        other => panic!("unexpected completion {other:?}"),
-    }
-    completions.clear(); // drops the node, recycling it
-    assert!(
-        arena.try_pop().is_some(),
-        "cancelled receive must return its node to the pool"
-    );
-}
-
-/// Full echo loop over the uring completion backend: OPENER, ACCEPTER,
-/// READER and WRITER as real deployment actors (their `ctor` declares
-/// the ring descriptors, so their workers park on them), an echo actor
-/// flipping `Data` into `Write` frames, and a kernel-socket client
-/// thread.
-#[test]
-fn echo_service_over_uring_completion_backend() {
-    use enet::data_frame_into_write;
-
-    let Some((p, uring)) = probe_backend("echo_service_over_uring_completion_backend") else {
-        return;
-    };
-    let net: Arc<dyn NetBackend> = Arc::new(uring.clone());
-    let pool = Arena::new("pool", 256, 512);
-    let sys = SystemActors::new(net, pool.clone());
-
-    let replies: NetPort = Port::new(Mbox::new(pool, 64));
-    let r = sys.dir.register(replies.mbox().clone());
-    sys.opener_requests.send(&NetMsg::OpenListen {
-        port: 5222,
-        reply: r,
-    });
-
-    let accepter_rq = sys.accepter_requests.clone();
-    let reader_rq = sys.reader_requests.clone();
-    let writer_rq = sys.writer_requests.clone();
-
-    const ROUNDS: usize = 50;
-    let uring2 = uring.clone();
-    let client: std::sync::Mutex<Option<std::thread::JoinHandle<()>>> = std::sync::Mutex::new(None);
-    let mut echoes = 0usize;
-    let driver = move |ctx: &mut Ctx| {
-        let mut worked = false;
-        while let Some(mut node) = replies.recv_node() {
-            worked = true;
-            let len = node.bytes().len();
-            if data_frame_into_write(&mut node.buffer_mut()[..len]) {
-                echoes += 1;
-                let _ = writer_rq.send_node(node);
-                continue;
-            }
-            match NetMsg::decode_from(node.bytes()) {
-                Some(NetMsg::OpenOk { id, listener: true }) => {
-                    accepter_rq.send(&NetMsg::WatchListener {
-                        listener: id,
-                        reply: r,
-                    });
-                    // Real client on a plain kernel socket, closed-loop:
-                    // each request waits for its echo before the next.
-                    let net = uring2.clone();
-                    *client.lock().unwrap() = Some(std::thread::spawn(move || {
-                        let c = net.connect(5222).unwrap();
-                        let mut buf = [0u8; 64];
-                        for i in 0..ROUNDS {
-                            let msg = format!("echo-{i}");
-                            while net.send(c, msg.as_bytes()).unwrap() == 0 {
-                                std::thread::yield_now();
-                            }
-                            let mut got = 0;
-                            while got < msg.len() {
-                                match net.recv(c, &mut buf[got..]).unwrap() {
-                                    RecvOutcome::Data(n) => got += n,
-                                    RecvOutcome::WouldBlock => std::thread::yield_now(),
-                                    RecvOutcome::Eof => panic!("premature eof"),
-                                }
-                            }
-                            assert_eq!(&buf[..got], msg.as_bytes());
-                        }
-                    }));
-                }
-                Some(NetMsg::Accepted { socket, .. }) => {
-                    reader_rq.send(&NetMsg::WatchSocket { socket, reply: r });
-                }
-                _ => {}
-            }
-        }
-        if echoes >= ROUNDS {
-            if let Some(t) = client.lock().unwrap().take() {
-                t.join().unwrap();
-            }
-            ctx.shutdown();
-            return Control::Park;
-        }
-        if worked {
-            Control::Busy
-        } else {
-            Control::Idle
-        }
-    };
-
-    let mut b = DeploymentBuilder::new();
-    let a1 = b.actor("opener", Placement::Untrusted, sys.opener);
-    let a2 = b.actor("accepter", Placement::Untrusted, sys.accepter);
-    let a3 = b.actor("reader", Placement::Untrusted, sys.reader);
-    let a4 = b.actor("writer", Placement::Untrusted, sys.writer);
-    let a5 = b.actor("driver", Placement::Untrusted, eactors::from_fn(driver));
-    b.worker(&[a1, a2, a5]);
-    b.worker(&[a3]);
-    b.worker(&[a4]);
-    Runtime::start(&p, b.build().expect("valid"))
-        .expect("start")
-        .join();
 }
