@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use sgx_sim::{CostHandle, Domain, Enclave};
 
@@ -77,7 +78,10 @@ pub enum Control {
 /// ```
 pub trait Actor: Send {
     /// One-time initialisation, executed in the actor's protection domain
-    /// before any body runs.
+    /// before any body runs. This is also where an actor says what can
+    /// wake it ([`Ctx::event_driven`], [`Ctx::watch_fd`]); one that says
+    /// nothing is polled every
+    /// [`crate::config::IdlePolicy::park_timeout`].
     fn ctor(&mut self, ctx: &mut Ctx) {
         let _ = ctx;
     }
@@ -143,6 +147,11 @@ pub struct Ctx {
     pub(crate) executions: Arc<obs::Counter>,
     /// Kernel descriptors declared through [`Ctx::watch_fd`].
     pub(crate) wait_fds: Vec<i32>,
+    /// Set by [`Ctx::event_driven`] (and [`Ctx::watch_fd`]).
+    pub(crate) event_driven: bool,
+    /// The shortest timer armed through [`Ctx::wake_after`] since the
+    /// worker last cleared it (before the re-poll that precedes a park).
+    pub(crate) wake_in: Option<Duration>,
 }
 
 impl Ctx {
@@ -283,6 +292,25 @@ impl Ctx {
         &self.wake
     }
 
+    /// Promise, once and from [`Actor::ctor`], that this actor needs no
+    /// polling: every input it reacts to either arrives through an mbox
+    /// or channel (whose `send` wakes the consuming worker), makes a
+    /// descriptor declared with [`Ctx::watch_fd`] readable, or is a
+    /// deadline the body arms with [`Ctx::wake_after`]. That includes
+    /// what the actor *owes*: a body holding a message it could not send
+    /// (full mbox, exhausted pool) must report [`Control::Busy`] or arm a
+    /// timer, because nothing notifies a producer when a consumer frees
+    /// room.
+    ///
+    /// A worker whose live actors have all made the promise parks until
+    /// one of those three things happens, bounded only by
+    /// [`crate::config::IdlePolicy::net_park_cap`]. An actor that does
+    /// not make it — any [`from_fn`] closure — has its worker wake every
+    /// [`crate::config::IdlePolicy::park_timeout`] to poll it.
+    pub fn event_driven(&mut self) {
+        self.event_driven = true;
+    }
+
     /// Declare, once and from [`Actor::ctor`], a pollable kernel object
     /// (an io_uring or epoll descriptor) this actor takes input from
     /// besides its mboxes. The worker executing the actor adds `fd` to
@@ -290,16 +318,26 @@ impl Ctx {
     /// descriptor turning readable wakes the worker exactly like a
     /// message enqueue does; the body then finds the event with a
     /// non-blocking poll. `fd` must stay open as long as the actor
-    /// lives.
-    ///
-    /// An actor that declares its descriptors is *event-driven*: every
-    /// input either arrives through an mbox or makes a declared
-    /// descriptor readable. A worker whose live actors are all
-    /// event-driven sleeps up to
-    /// [`crate::config::IdlePolicy::net_park_cap`]; any other worker is
-    /// bounded by [`crate::config::IdlePolicy::park_timeout`].
+    /// lives. Implies [`Ctx::event_driven`].
     pub fn watch_fd(&mut self, fd: i32) {
         self.wait_fds.push(fd);
+        self.event_driven = true;
+    }
+
+    /// Ask, from [`Actor::body`], to be run again no later than `after`
+    /// from now even if no message and no descriptor wakes the worker:
+    /// if the worker parks after this pass, it sleeps at most that long.
+    /// This is how an [`Ctx::event_driven`] actor serves what is
+    /// genuinely polled (a drain interval, a sync period, a ring without
+    /// a descriptor).
+    ///
+    /// The timer is one-shot and belongs to this execution: the worker
+    /// forgets every timer before the last pass it makes ahead of a
+    /// park, so a body arms it on every execution that still wants it —
+    /// with the time *remaining* to its deadline, which the actor keeps
+    /// itself. Of several calls the shortest wins.
+    pub fn wake_after(&mut self, after: Duration) {
+        self.wake_in = Some(self.wake_in.map_or(after, |armed| armed.min(after)));
     }
 
     /// The deployment's observability hub: trace-ring registry plus the

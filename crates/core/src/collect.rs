@@ -14,18 +14,26 @@
 //! actors (as the XMPP service does) keeps enclave workers undisturbed.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::actor::{Actor, Control, Ctx};
+
+/// How long the trace rings may go undrained while the COLLECTOR's
+/// worker has nothing else to do. A ring holds 4 096 events and a worker
+/// that is not spinning on empty passes emits a few hundred per
+/// millisecond at most, so a millisecond leaves an order of magnitude
+/// of headroom (`trace_dropped` counts what a full ring turns away).
+const DRAIN_INTERVAL: Duration = Duration::from_millis(1);
 
 /// System actor that periodically drains all registered trace rings.
 ///
 /// Its body is one [`obs::ObsHub::poll`] call and always reports
-/// [`Control::Idle`]: the rings are a *polled* input, so the hosting
-/// worker's [`crate::config::IdlePolicy::park_timeout`] paces the drain
-/// (every pass while a sibling actor is busy, every timeout otherwise).
-/// Reporting `Busy` for a non-empty drain would keep the worker awake
-/// for good — each of its own passes emits the events the next one
-/// finds. Events a full ring turns away are counted as `trace_dropped`.
+/// [`Control::Idle`]: the rings are a *polled* input, so the body arms
+/// a 1 ms (`DRAIN_INTERVAL`) timer on every execution ([`Ctx::wake_after`]) —
+/// the drain runs on every pass while a sibling actor keeps the worker
+/// awake and once per interval otherwise. Reporting `Busy` for a
+/// non-empty drain would keep the worker awake for good — each of its
+/// own passes emits the events the next one finds.
 #[derive(Debug, Default)]
 pub struct CollectorActor {
     hub: Option<Arc<obs::ObsHub>>,
@@ -45,10 +53,12 @@ impl Actor for CollectorActor {
             "the collector reads untrusted rings; deploy it Placement::Untrusted"
         );
         self.hub = Some(Arc::clone(ctx.obs_hub()));
+        ctx.event_driven();
     }
 
-    fn body(&mut self, _ctx: &mut Ctx) -> Control {
+    fn body(&mut self, ctx: &mut Ctx) -> Control {
         self.hub.as_ref().expect("ctor ran before body").poll();
+        ctx.wake_after(DRAIN_INTERVAL);
         Control::Idle
     }
 }

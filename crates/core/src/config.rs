@@ -75,47 +75,72 @@ impl Default for ChannelOptions {
     }
 }
 
-/// What a worker does after passes in which no actor made progress.
+/// What a worker does while none of its actors has anything to do.
 ///
-/// Workers escalate through three tiers as an idle streak grows: first
-/// **spin** (cheapest resume, keeps the cache hot), then **yield** to the
-/// OS scheduler, and finally **park** on their slot of the runtime's wake
-/// hub until a peer's `Mbox::send` — or a kernel object one of their
-/// actors declared — wakes them (see [`crate::wake`]). Any productive
-/// pass resets the streak. Only workers park; an actor body never blocks.
+/// A worker escalates through three tiers, measured in **time since its
+/// last busy pass** (one clock read per idle pass, none on a busy one):
+/// it **spins** for [`IdlePolicy::spin_for`] (cheapest resume, keeps the
+/// cache hot), **yields** to the OS scheduler for a further
+/// [`IdlePolicy::yield_for`], and then **parks** on its slot of the
+/// runtime's wake hub (see [`crate::wake`]). Any busy pass starts over.
+/// Only workers park; an actor body never blocks.
+///
+/// A park ends for one of three reasons, which is also what an actor can
+/// name as its sources of input: a **message** (a peer's `Mbox::send` to
+/// one of the worker's actors — a directed notify), a **descriptor** an
+/// actor declared with [`crate::actor::Ctx::watch_fd`] turning readable,
+/// or a **timer** an actor armed with [`crate::actor::Ctx::wake_after`].
+/// When every live actor of the worker has declared that nothing else
+/// feeds it ([`crate::actor::Ctx::event_driven`]; `watch_fd` implies it)
+/// the park is bounded by [`IdlePolicy::net_park_cap`]; one undeclared
+/// actor (any `from_fn` closure) and it is bounded by
+/// [`IdlePolicy::park_timeout`] instead, the polling rate of an actor
+/// the runtime knows nothing about.
+///
+/// # The two defaults
+///
+/// Spinning and yielding are rent, parking is the purchase: a park costs
+/// the sleeper a futex or `ppoll` entry, the sender a wake-up call, and
+/// the message the scheduler's latency in between — about 26 µs from
+/// notify to the first pass on the 2-CPU reference host
+/// (`core.wake_park_notify_us` in `benchmark/`). The ski-rental rule
+/// says to rent until the rent paid equals that price and then buy,
+/// which never costs more than twice the optimum: 4 µs of spinning (a
+/// same-core hand-off completes within it; longer only starves the peer
+/// that shares the CPU) plus 20 µs of yielding (which gives the CPU to
+/// exactly that peer) make 24 µs. The budget is in time rather than in
+/// passes so that it means the same on a worker with one actor and on a
+/// worker with eight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdlePolicy {
-    /// Idle passes spent spinning before the yield tier.
-    pub spin_passes: u32,
-    /// Idle passes spent yielding before the park tier.
-    pub yield_passes: u32,
-    /// Upper bound on one parked sleep of a worker that hosts a *polled*
-    /// actor: one with an input that neither arrives through an mbox nor
-    /// makes a declared descriptor readable (the completion rings of the
-    /// enet READER, WRITER and ACCEPTER over `SimNet`/`TcpLoopback` have
-    /// no descriptor and retry their operations on every pass; the
-    /// COLLECTOR polls trace rings; any actor that has not called
-    /// [`crate::actor::Ctx::watch_fd`] is treated the same). Nothing can
-    /// wake the worker for such an input, so this timeout is what serves
-    /// it. `None` parks until a wake event — only safe when every input
-    /// of every actor arrives through an mbox.
+    /// How long after its last busy pass a worker keeps spinning.
+    pub spin_for: std::time::Duration,
+    /// How long after the spin tier it keeps yielding before it parks.
+    pub yield_for: std::time::Duration,
+    /// Upper bound on one parked sleep of a worker that hosts an
+    /// *undeclared* actor: one that did not call
+    /// [`crate::actor::Ctx::event_driven`] or
+    /// [`crate::actor::Ctx::watch_fd`] in its `ctor` (any `from_fn`
+    /// closure). The runtime cannot know what such an actor polls, so
+    /// this timeout is what serves it. `None` parks until a wake event —
+    /// only safe when every input of every actor arrives through an
+    /// mbox.
     pub park_timeout: Option<std::time::Duration>,
-    /// Upper bound on one parked sleep of a worker whose live actors are
-    /// all event-driven (each declared its kernel objects with
-    /// [`crate::actor::Ctx::watch_fd`]; the enet system actors do so with
-    /// their ring's descriptor over epoll or io_uring). Socket events and message enqueues from
-    /// other workers end that sleep directly, so the cap only bounds how
-    /// long a signal the wake hub cannot see — a send from a thread
-    /// outside the runtime — goes unserved; lowering it trades idle
-    /// wake-ups for worst-case latency on such signals.
+    /// Upper bound on one parked sleep of a worker whose live actors have
+    /// all declared their inputs. Messages, declared descriptors and
+    /// armed timers end that sleep directly, so the cap only bounds how
+    /// long a signal none of them carries goes unserved: a send to an
+    /// mbox whose consumer is not recorded (MPMC, or never received
+    /// from) made by a thread outside the runtime. Lowering it trades
+    /// idle wake-ups for worst-case latency on such signals.
     pub net_park_cap: std::time::Duration,
 }
 
 impl Default for IdlePolicy {
     fn default() -> Self {
         IdlePolicy {
-            spin_passes: 64,
-            yield_passes: 64,
+            spin_for: std::time::Duration::from_micros(4),
+            yield_for: std::time::Duration::from_micros(20),
             park_timeout: Some(std::time::Duration::from_micros(200)),
             net_park_cap: std::time::Duration::from_millis(5),
         }
@@ -124,11 +149,12 @@ impl Default for IdlePolicy {
 
 impl IdlePolicy {
     /// Never park: spin forever on idle passes (the pre-parking
-    /// behaviour, for latency-critical deployments).
+    /// behaviour, for latency-critical deployments and for tests that
+    /// assert a worker never leaves its enclave).
     pub fn spin_only() -> Self {
         IdlePolicy {
-            spin_passes: u32::MAX,
-            yield_passes: 0,
+            spin_for: std::time::Duration::MAX,
+            yield_for: std::time::Duration::ZERO,
             park_timeout: None,
             ..Self::default()
         }
@@ -139,15 +165,15 @@ impl IdlePolicy {
     /// mbox-only deployments).
     pub fn park_immediately() -> Self {
         IdlePolicy {
-            spin_passes: 0,
-            yield_passes: 0,
+            spin_for: std::time::Duration::ZERO,
+            yield_for: std::time::Duration::ZERO,
             park_timeout: None,
             ..Self::default()
         }
     }
 
-    /// This policy with the network park cap replaced (see
-    /// [`IdlePolicy::net_park_cap`]).
+    /// This policy with the cap on a fully declared worker's park
+    /// replaced (see [`IdlePolicy::net_park_cap`]).
     pub fn with_net_park_cap(mut self, cap: std::time::Duration) -> Self {
         self.net_park_cap = cap;
         self

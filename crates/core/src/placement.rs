@@ -969,13 +969,24 @@ impl Actor for PlannerActor {
             last_plan_at: Instant::now(),
             cooldown_left: 0,
         });
+        // The planner's only input is its own interval.
+        ctx.event_driven();
     }
 
-    fn body(&mut self, _ctx: &mut Ctx) -> Control {
+    fn body(&mut self, ctx: &mut Ctx) -> Control {
         let Some(state) = self.state.as_mut() else {
             return Control::Park;
         };
-        if state.last_plan_at.elapsed() < self.config.interval || state.control.pending() {
+        let interval = self.config.interval;
+        let waited = state.last_plan_at.elapsed();
+        if waited < interval {
+            ctx.wake_after(interval - waited);
+            return Control::Idle;
+        }
+        // Every return below looks again an interval on; so does a plan
+        // still being applied, whose completion nothing announces.
+        ctx.wake_after(interval);
+        if state.control.pending() {
             return Control::Idle;
         }
         let spec = Arc::clone(state.control.spec());

@@ -20,14 +20,17 @@
 //!   first, then enclaves in first-appearance order). A pass over actors
 //!   spread across *k* domains then pays exactly *k* migrations instead
 //!   of up to one per actor.
-//! * **Adaptive idling.** After passes in which no actor made progress
-//!   the worker escalates spin → yield → park per the deployment's
-//!   [`crate::config::IdlePolicy`]. The park is the **only** place a
-//!   thread of the runtime blocks: one wait on the worker's slot of the
-//!   runtime's [`crate::wake::WakeHub`] together with every kernel
-//!   descriptor its actors declared ([`Ctx::watch_fd`]), ended by a
-//!   peer's `Mbox::send` to one of its actors or by one of those
-//!   descriptors.
+//! * **Idling bounded in time.** A worker measures how long it has been
+//!   since its last busy pass and spins, then yields, then parks per the
+//!   deployment's [`crate::config::IdlePolicy`] — a budget in
+//!   microseconds, so it does not grow with the number of actors on the
+//!   worker. The park is the **only** place a thread of the runtime
+//!   blocks: one wait on the worker's slot of the runtime's
+//!   [`crate::wake::WakeHub`] together with every kernel descriptor its
+//!   actors declared ([`Ctx::watch_fd`]), for at most the earliest timer
+//!   they armed ([`Ctx::wake_after`]); it is ended by a peer's
+//!   `Mbox::send` to one of its actors, by one of those descriptors, or
+//!   by that timer.
 //!
 //! The runtime also owns the deployment's observability: every worker
 //! gets a fixed-size SPSC trace ring (preallocated here, in untrusted
@@ -49,7 +52,7 @@ use crate::arena::{self, Arena, MagazineStats, Mbox, MboxKind};
 use crate::channel::{ChannelEnd, ChannelPair};
 use crate::config::{cross_enclave, Deployment, Placement};
 use crate::error::ConfigError;
-use crate::wake::{self, WakeHub, WorkerParker};
+use crate::wake::{self, ParkEnd, WakeHub, WorkerParker};
 
 /// Per-worker execution statistics, reported by [`Runtime::join`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,7 +75,9 @@ pub struct WorkerReport {
     /// Times this worker parked on the wake hub.
     pub parks: u64,
     /// Parks that ended in a wake event — a notify or a declared kernel
-    /// descriptor turning readable — rather than a timeout.
+    /// descriptor turning readable — rather than an armed timer or the
+    /// policy's bound (`worker_<i>_park_ends_{fd,timer,cap}` in the
+    /// registry split the parks further).
     pub wakes: u64,
     /// Encrypted channel frames received by this worker's actors that
     /// failed authentication — forged or bit-flipped traffic, summed
@@ -476,6 +481,8 @@ impl Runtime {
                 idle,
                 executions: registry.counter(&format!("actor_{}_executions", a.name)),
                 wait_fds: Vec::new(),
+                event_driven: false,
+                wake_in: None,
             }));
         }
 
@@ -524,6 +531,13 @@ impl Runtime {
             let c_idle_passes = registry.counter(&format!("worker_{wi}_idle_passes"));
             let c_parks = registry.counter(&format!("worker_{wi}_parks"));
             let c_wakes = registry.counter(&format!("worker_{wi}_wakes"));
+            // How each park ended: `wakes` are the notifies plus the
+            // descriptors; the rest ran to an actor's timer or to the
+            // policy's bound. (Names must not end in `_parks`/`_wakes`:
+            // readers sum those suffixes over the workers.)
+            let c_ends_fd = registry.counter(&format!("worker_{wi}_park_ends_fd"));
+            let c_ends_timer = registry.counter(&format!("worker_{wi}_park_ends_timer"));
+            let c_ends_cap = registry.counter(&format!("worker_{wi}_park_ends_cap"));
             // Wakes whose first pass found no actor with work.
             let c_empty_wakes = registry.counter(&format!("worker_{wi}_empty_wakes"));
             // Parks that also waited on a declared kernel descriptor.
@@ -566,10 +580,10 @@ impl Runtime {
                     arena::install_magazines(magazine_stats);
                     let mut parker = WorkerParker::new(Arc::clone(&hub), wi);
                     let mut just_woken = false;
-                    let mut idle_streak = 0u64;
+                    // When the current run of idle passes began.
+                    let mut idle_since: Option<Instant> = None;
                     let mut local_epoch = 0u64;
-                    let spin_tier = u64::from(idle.spin_passes);
-                    let yield_tier = spin_tier.saturating_add(u64::from(idle.yield_passes));
+                    let yield_until = idle.spin_for.saturating_add(idle.yield_for);
                     while !stop.is_stopped() {
                         // Migration safe point: between passes, outside
                         // any actor body. Leave the enclave before
@@ -579,7 +593,7 @@ impl Runtime {
                             switch_domain(&costs, Domain::Untrusted);
                             local_epoch = placement.rebalance(wi, &mut entries);
                             sort_domain_batched(&mut entries);
-                            idle_streak = 0;
+                            idle_since = None;
                             continue;
                         }
                         let out = run_pass(&mut entries, &stop, &costs, &counters);
@@ -598,26 +612,27 @@ impl Runtime {
                             c_empty_wakes.inc();
                         }
                         if out.any_busy {
-                            idle_streak = 0;
+                            idle_since = None;
                             continue;
                         }
                         c_idle_passes.inc();
-                        idle_streak += 1;
-                        if idle_streak <= spin_tier {
+                        // The one clock read of an idle pass; a busy pass
+                        // reads none.
+                        let now = Instant::now();
+                        let idle_for = now.duration_since(*idle_since.get_or_insert(now));
+                        if idle_for < idle.spin_for {
                             std::hint::spin_loop();
-                        } else if idle_streak <= yield_tier {
+                        } else if idle_for < yield_until {
                             std::thread::yield_now();
                         } else {
                             // Park tier. The wait covers the kernel
                             // descriptors of the live entries (collected
-                            // afresh: entries retire and migrate), and
-                            // only when every one of them is event-driven
-                            // may it run to the long cap — a polled actor
-                            // is served by `park_timeout` alone.
+                            // afresh: entries retire and migrate); timers
+                            // are forgotten here and armed again by the
+                            // bodies of the re-poll below.
                             parker.clear_sources();
-                            let mut event_driven = true;
-                            for e in entries.iter().filter(|e| !e.parked) {
-                                event_driven &= !e.ctx.wait_fds.is_empty();
+                            for e in entries.iter_mut().filter(|e| !e.parked) {
+                                e.ctx.wake_in = None;
                                 for &fd in &e.ctx.wait_fds {
                                     parker.add_source(fd);
                                 }
@@ -647,10 +662,30 @@ impl Runtime {
                             }
                             if out.any_busy {
                                 parker.cancel();
-                                idle_streak = 0;
+                                idle_since = None;
                                 continue;
                             }
                             c_idle_passes.inc();
+                            // How long the sleep may last: to the earliest
+                            // timer a body just armed, but no longer than
+                            // the policy allows — the long cap only when
+                            // every live actor declared its inputs,
+                            // `park_timeout` as soon as one must be polled.
+                            let mut declared = true;
+                            let mut timer: Option<Duration> = None;
+                            for e in entries.iter().filter(|e| !e.parked) {
+                                declared &= e.ctx.event_driven;
+                                if let Some(t) = e.ctx.wake_in {
+                                    timer = Some(timer.map_or(t, |earliest| earliest.min(t)));
+                                }
+                            }
+                            let bound = if declared {
+                                Some(idle.net_park_cap)
+                            } else {
+                                idle.park_timeout
+                            };
+                            let timer_first = timer.is_some_and(|t| bound.map_or(true, |b| t <= b));
+                            let timeout = if timer_first { timer } else { bound };
                             // Sleep outside any enclave: a blocked thread
                             // must not squat in enclave mode.
                             switch_domain(&costs, Domain::Untrusted);
@@ -662,18 +697,20 @@ impl Runtime {
                             if parker.has_sources() {
                                 c_net_park_waits.inc();
                             }
-                            let timeout = if event_driven && parker.has_sources() {
-                                Some(idle.net_park_cap)
-                            } else {
-                                idle.park_timeout
-                            };
                             if cfg!(feature = "trace") {
                                 obs::emit(obs::EventKind::Park, wi as u16, 0, 0);
                             }
-                            let woken = parker.park(timeout);
+                            let end = parker.park(timeout);
+                            let woken = end != ParkEnd::TimedOut;
                             if woken {
                                 c_wakes.inc();
                                 just_woken = true;
+                            }
+                            match end {
+                                ParkEnd::Notified => {}
+                                ParkEnd::Descriptor => c_ends_fd.inc(),
+                                ParkEnd::TimedOut if timer_first => c_ends_timer.inc(),
+                                ParkEnd::TimedOut => c_ends_cap.inc(),
                             }
                             if cfg!(feature = "trace") {
                                 obs::emit(obs::EventKind::Wake, wi as u16, u64::from(woken), 0);

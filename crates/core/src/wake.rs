@@ -25,9 +25,14 @@
 //! One hub exists per [`crate::runtime::Runtime`]; worker threads register
 //! it in a thread-local so the mbox layer can notify without carrying a
 //! hub reference through every queue (mboxes are freely created outside
-//! the runtime). Sends from threads that are not workers (test drivers,
-//! external pollers) simply do not notify — which is why parking is
-//! bounded by a timeout (see [`crate::config::IdlePolicy`]).
+//! the runtime). A send from any other thread — a test driver, an
+//! external poller, a worker of another runtime — misses that
+//! thread-local and resolves the hub the consumer token names through a
+//! process-wide registry of live hubs instead, so it wakes the consuming
+//! worker all the same. What no sender can address is an mbox without a
+//! recorded consumer (MPMC, or never received from) written by such a
+//! thread; that, and inputs an actor polls without saying so, is what a
+//! park's upper bound is for (see [`crate::config::IdlePolicy`]).
 //!
 //! # Protocol
 //!
@@ -53,7 +58,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::Duration;
 
 #[cfg(target_os = "linux")]
@@ -61,6 +66,22 @@ use crate::sys::{wait_readable, EventFd, PollFd};
 
 thread_local! {
     static CURRENT: RefCell<Option<Arc<WakeHub>>> = const { RefCell::new(None) };
+}
+
+/// Every live hub that has worker slots, by id, for senders that are not
+/// its workers. Touched when a runtime starts, when its hub is dropped,
+/// and on that cold send path only.
+static HUBS: Mutex<Vec<(u64, Weak<WakeHub>)>> = Mutex::new(Vec::new());
+
+/// The live hub that issued `token`, if any.
+fn hub_of(token: u64) -> Option<Arc<WakeHub>> {
+    let id = token >> TOKEN_INDEX_BITS;
+    let hubs = HUBS.lock().unwrap_or_else(|e| e.into_inner());
+    // Only the match is upgraded, and it leaves this function: a hub's
+    // last reference must never be dropped under the lock its `Drop`
+    // takes.
+    let (_, hub) = hubs.iter().find(|(hub_id, _)| *hub_id == id)?;
+    hub.upgrade()
 }
 
 /// The worker is in (or between) passes.
@@ -180,7 +201,7 @@ impl WakeHub {
             workers < (1 << TOKEN_INDEX_BITS),
             "worker tokens hold {TOKEN_INDEX_BITS} index bits"
         );
-        Arc::new(WakeHub {
+        let hub = Arc::new(WakeHub {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             slots: (0..workers).map(|_| WorkerSlot::default()).collect(),
             epoch: AtomicU64::new(0),
@@ -190,7 +211,12 @@ impl WakeHub {
             notifies: Arc::default(),
             directed: Arc::default(),
             broadcast: Arc::default(),
-        })
+        });
+        if workers > 0 {
+            let mut hubs = HUBS.lock().unwrap_or_else(|e| e.into_inner());
+            hubs.push((hub.id, Arc::downgrade(&hub)));
+        }
+        hub
     }
 
     /// The token worker `wi` stamps on the single-consumer side of the
@@ -250,11 +276,18 @@ impl WakeHub {
         }
     }
 
-    /// Wake the worker `token` names, if it sleeps; tokens this hub did
-    /// not issue (0 = consumer unknown) fall back to [`WakeHub::notify`].
+    /// Wake the worker `token` names, if it sleeps. Token 0 (consumer
+    /// unknown) falls back to [`WakeHub::notify`]; a token another hub
+    /// issued is handed to that hub.
     fn notify_worker(&self, token: u64) {
+        if token == 0 {
+            return self.notify();
+        }
+        if token >> TOKEN_INDEX_BITS != self.id {
+            return notify_foreign(token);
+        }
         let index = (token & ((1 << TOKEN_INDEX_BITS) - 1)) as usize;
-        if token >> TOKEN_INDEX_BITS != self.id || index == 0 || index > self.slots.len() {
+        if index == 0 || index > self.slots.len() {
             return self.notify();
         }
         let slot = &self.slots[index - 1];
@@ -308,6 +341,28 @@ impl WakeHub {
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
         !unchanged()
     }
+}
+
+impl Drop for WakeHub {
+    /// Leave the registry with the hub: a `Weak` left behind would keep
+    /// the hub's allocation alive until the next runtime starts.
+    fn drop(&mut self) {
+        if !self.slots.is_empty() {
+            let mut hubs = HUBS.lock().unwrap_or_else(|e| e.into_inner());
+            hubs.retain(|(id, _)| *id != self.id);
+        }
+    }
+}
+
+/// How a [`WorkerParker::park`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ParkEnd {
+    /// A notify claimed the slot.
+    Notified,
+    /// A declared descriptor turned readable (and no notify came).
+    Descriptor,
+    /// Neither happened within the timeout.
+    TimedOut,
 }
 
 /// A worker's handle on its own park slot: the worker-side half of the
@@ -397,9 +452,9 @@ impl WorkerParker {
     }
 
     /// Block until a notify claims the slot, a declared descriptor
-    /// fires, or `timeout` elapses (`None` waits indefinitely). Returns
-    /// `true` unless it was the timeout. Deregisters either way.
-    pub(crate) fn park(&mut self, timeout: Option<Duration>) -> bool {
+    /// fires, or `timeout` elapses (`None` waits indefinitely).
+    /// Deregisters either way.
+    pub(crate) fn park(&mut self, timeout: Option<Duration>) -> ParkEnd {
         #[cfg(target_os = "linux")]
         let kernel_event = if self.fds.is_empty() {
             self.slot().wait_on_condvar(timeout);
@@ -420,7 +475,13 @@ impl WorkerParker {
         };
         let notified = self.slot().state.swap(RUNNING, Ordering::SeqCst) == NOTIFIED;
         self.hub.sleepers.fetch_sub(1, Ordering::SeqCst);
-        notified || kernel_event
+        if notified {
+            ParkEnd::Notified
+        } else if kernel_event {
+            ParkEnd::Descriptor
+        } else {
+            ParkEnd::TimedOut
+        }
     }
 }
 
@@ -440,17 +501,33 @@ pub(crate) fn notify_current() {
 }
 
 /// Wake the worker that drains an mbox, given the consumer token the
-/// mbox recorded (0 when it has none), on the calling thread's hub.
+/// mbox recorded (0 when it has none).
 ///
-/// Called by the mbox layer after every successful enqueue; a no-op on
-/// threads that are not runtime workers.
+/// Called by the mbox layer after every successful enqueue. On a worker
+/// thread this goes through its own hub; on any other thread the token
+/// itself names the hub (token 0 names nobody: such a send notifies no
+/// one).
 #[inline]
 pub(crate) fn notify_consumer(token: u64) {
-    CURRENT.with(|c| {
-        if let Some(hub) = c.borrow().as_ref() {
+    let on_worker = CURRENT.with(|c| match c.borrow().as_ref() {
+        Some(hub) => {
             hub.notify_worker(token);
+            true
         }
+        None => false,
     });
+    if !on_worker && token != 0 {
+        notify_foreign(token);
+    }
+}
+
+/// The cold path of [`notify_consumer`]: the sender is not a worker of
+/// the hub that issued `token`.
+#[cold]
+fn notify_foreign(token: u64) {
+    if let Some(hub) = hub_of(token) {
+        hub.notify_worker(token);
+    }
 }
 
 #[cfg(test)]
@@ -551,22 +628,54 @@ mod tests {
         // A second send to the same sleeper neither signals nor counts.
         hub.notify_worker(hub.worker_token(1));
         assert_eq!(hub.notify_count(), 1);
-        assert!(w1.park(None), "claimed before blocking: returns at once");
-        assert!(!w0.park(Some(Duration::from_millis(2))), "never notified");
+        assert_eq!(w1.park(None), ParkEnd::Notified, "claimed before blocking");
+        assert_eq!(
+            w0.park(Some(Duration::from_millis(2))),
+            ParkEnd::TimedOut,
+            "never notified"
+        );
         assert_eq!(hub.sleepers(), 0);
     }
 
     #[test]
-    fn unknown_and_foreign_tokens_fall_back_to_broadcast() {
+    fn an_unknown_consumer_falls_back_to_broadcast() {
         let hub = WakeHub::with_workers(1);
-        let other = WakeHub::with_workers(1);
         let mut w0 = WorkerParker::new(hub.clone(), 0);
-        for token in [0, other.worker_token(0)] {
-            w0.prepare();
-            hub.notify_worker(token);
-            assert!(w0.park(None));
-        }
-        assert_eq!((hub.directed.get(), hub.broadcast.get()), (0, 2));
+        w0.prepare();
+        hub.notify_worker(0);
+        assert_eq!(w0.park(None), ParkEnd::Notified);
+        assert_eq!((hub.directed.get(), hub.broadcast.get()), (0, 1));
+    }
+
+    #[test]
+    fn a_token_finds_its_hub_from_another_hubs_worker_and_from_no_worker() {
+        let hub = WakeHub::with_workers(2);
+        let other = WakeHub::with_workers(1);
+        let mut w1 = WorkerParker::new(hub.clone(), 1);
+        let mut bystander = WorkerParker::new(other.clone(), 0);
+        // Sent by a worker of `other`: the token's hub is woken, the
+        // sender's own is left alone.
+        w1.prepare();
+        bystander.prepare();
+        other.notify_worker(hub.worker_token(1));
+        assert_eq!(w1.park(None), ParkEnd::Notified);
+        assert_eq!(
+            bystander.park(Some(Duration::from_millis(2))),
+            ParkEnd::TimedOut
+        );
+        // Sent by a thread that is no worker at all (this one).
+        w1.prepare();
+        notify_consumer(hub.worker_token(1));
+        assert_eq!(w1.park(None), ParkEnd::Notified);
+        assert_eq!((hub.directed.get(), hub.broadcast.get()), (2, 0));
+        assert_eq!(other.notify_count(), 0);
+        // A token whose hub is gone names nobody.
+        let stale = other.worker_token(0);
+        drop(bystander);
+        drop(other);
+        notify_consumer(stale);
+        hub.notify_worker(stale);
+        assert_eq!(hub.notify_count(), 2);
     }
 
     #[test]
@@ -577,7 +686,11 @@ mod tests {
         assert_eq!(hub.notify_count(), 0);
         w0.prepare();
         hub.notify_force();
-        assert!(w0.park(None), "must not sleep through a forced notify");
+        assert_eq!(
+            w0.park(None),
+            ParkEnd::Notified,
+            "must not sleep through a forced notify"
+        );
     }
 
     #[cfg(target_os = "linux")]
@@ -590,19 +703,23 @@ mod tests {
         assert!(w0.has_sources());
 
         w0.prepare();
-        assert!(!w0.park(Some(Duration::from_millis(2))), "quiet: times out");
+        assert_eq!(w0.park(Some(Duration::from_millis(2))), ParkEnd::TimedOut);
 
         w0.prepare();
         source.signal();
-        assert!(w0.park(None), "kernel source readable");
+        assert_eq!(w0.park(None), ParkEnd::Descriptor);
         source.drain();
 
         w0.prepare();
         hub.notify_worker(hub.worker_token(0));
-        assert!(w0.park(None), "directed notify through the eventfd");
+        assert_eq!(
+            w0.park(None),
+            ParkEnd::Notified,
+            "directed notify through the eventfd"
+        );
         // The wake was drained: the next park really sleeps.
         w0.prepare();
-        assert!(!w0.park(Some(Duration::from_millis(2))));
+        assert_eq!(w0.park(Some(Duration::from_millis(2))), ParkEnd::TimedOut);
 
         w0.clear_sources();
         assert!(!w0.has_sources());

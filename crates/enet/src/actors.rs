@@ -53,15 +53,35 @@ fn busy_if(worked: bool) -> Control {
     }
 }
 
-/// Ctor half of owning a ring: bind its counters and declare its
-/// descriptor to the worker, whose park then ends when a socket has news.
-/// No system actor ever waits in its body — with a declared descriptor it
-/// does not need to, and without one (a ring with nothing pollable) the
-/// worker's `park_timeout` paces the reaps.
-fn declare_ring(ctx: &mut Ctx, ring: &mut dyn CompletionRing) {
+/// How often a ring with nothing pollable beneath it (`SimNet`,
+/// `TcpLoopback`) has its operations retried while its worker has
+/// nothing else to do.
+const RETRY_INTERVAL: Duration = Duration::from_micros(200);
+
+/// Ctor half of owning a ring: bind its counters and tell the worker
+/// what wakes this actor besides its request mbox — the ring's
+/// descriptor, whose readability then ends the worker's park, or, for a
+/// ring that has none, a [`RETRY_INTERVAL`] timer the body arms on every
+/// execution ([`pace`]). Returns whether the ring needs that timer. No
+/// system actor ever waits in its body.
+fn declare_ring(ctx: &mut Ctx, ring: &mut dyn CompletionRing) -> bool {
     ring.bind_obs(ctx.obs_hub().registry());
-    if let Some(fd) = ring.wait_fd() {
-        ctx.watch_fd(fd);
+    match ring.wait_fd() {
+        Some(fd) => {
+            ctx.watch_fd(fd);
+            false
+        }
+        None => {
+            ctx.event_driven();
+            true
+        }
+    }
+}
+
+/// Body half: re-arm the retry timer of a ring without a descriptor.
+fn pace(ctx: &mut Ctx, retried: bool) {
+    if retried {
+        ctx.wake_after(RETRY_INTERVAL);
     }
 }
 
@@ -169,6 +189,12 @@ impl Opener {
 }
 
 impl Actor for Opener {
+    fn ctor(&mut self, ctx: &mut Ctx) {
+        // Requests are the only input; replies that cannot be delivered
+        // are dropped and counted, never retried.
+        ctx.event_driven();
+    }
+
     fn body(&mut self, _ctx: &mut Ctx) -> Control {
         let Opener {
             net,
@@ -222,6 +248,8 @@ pub struct Accepter {
     replies: Arc<PortStats>,
     watches: Vec<AcceptWatch>,
     ring: Box<dyn CompletionRing>,
+    /// Set by `ctor` when the ring has no descriptor (see [`declare_ring`]).
+    retried: bool,
     completions: Vec<Completion>,
 }
 
@@ -249,6 +277,7 @@ impl Accepter {
             replies,
             watches: Vec::new(),
             ring,
+            retried: false,
             completions: Vec::new(),
         }
     }
@@ -305,10 +334,11 @@ impl Accepter {
 
 impl Actor for Accepter {
     fn ctor(&mut self, ctx: &mut Ctx) {
-        declare_ring(ctx, self.ring.as_mut());
+        self.retried = declare_ring(ctx, self.ring.as_mut());
     }
 
-    fn body(&mut self, _ctx: &mut Ctx) -> Control {
+    fn body(&mut self, ctx: &mut Ctx) -> Control {
+        pace(ctx, self.retried);
         let Accepter {
             requests,
             watches,
@@ -404,6 +434,8 @@ pub struct Reader {
     /// congested so the confirmation can never be lost.
     acks: Vec<(u64, MboxRef)>,
     ring: Box<dyn CompletionRing>,
+    /// Set by `ctor` when the ring has no descriptor (see [`declare_ring`]).
+    retried: bool,
     completions: Vec<Completion>,
     /// Sockets owing a receive submission (new watches, starved
     /// re-arms, just-delivered completions), serviced round-robin.
@@ -437,6 +469,7 @@ impl Reader {
             watches: HashMap::new(),
             acks: Vec::new(),
             ring: net.completion_ring(),
+            retried: false,
             completions: Vec::new(),
             arm_queue: VecDeque::new(),
             dropped: Arc::new(Counter::default()),
@@ -665,10 +698,11 @@ impl Actor for Reader {
         // The registry returns one shared counter per name, so every
         // reader in the deployment increments the same atomic.
         self.dropped = ctx.obs_hub().registry().counter("net_dropped_reads");
-        declare_ring(ctx, self.ring.as_mut());
+        self.retried = declare_ring(ctx, self.ring.as_mut());
     }
 
-    fn body(&mut self, _ctx: &mut Ctx) -> Control {
+    fn body(&mut self, ctx: &mut Ctx) -> Control {
+        pace(ctx, self.retried);
         let mut worked = self.drain_requests();
         worked |= self.flush_acks();
         worked |= self.service_arm();
@@ -704,6 +738,8 @@ pub struct Writer {
     pending: HashMap<u64, VecDeque<Node>>,
     batch: Vec<Node>,
     ring: Box<dyn CompletionRing>,
+    /// Set by `ctor` when the ring has no descriptor (see [`declare_ring`]).
+    retried: bool,
     /// Scratch buffer for reaped completions.
     completions: Vec<Completion>,
     /// Write frames dropped instead of queued (dead socket, or per-socket
@@ -727,6 +763,7 @@ impl Writer {
             pending: HashMap::new(),
             batch: Vec::new(),
             ring: net.completion_ring(),
+            retried: false,
             completions: Vec::new(),
             dropped: Arc::new(Counter::default()),
         }
@@ -825,10 +862,11 @@ impl Writer {
 impl Actor for Writer {
     fn ctor(&mut self, ctx: &mut Ctx) {
         self.dropped = ctx.obs_hub().registry().counter("net_dropped_writes");
-        declare_ring(ctx, self.ring.as_mut());
+        self.retried = declare_ring(ctx, self.ring.as_mut());
     }
 
-    fn body(&mut self, _ctx: &mut Ctx) -> Control {
+    fn body(&mut self, ctx: &mut Ctx) -> Control {
+        pace(ctx, self.retried);
         // Submissions queued here (a completion releasing the next parked
         // frame, fresh intake) make the pass productive; the pass that
         // follows flushes them in its reap.
@@ -859,6 +897,10 @@ impl Closer {
 }
 
 impl Actor for Closer {
+    fn ctor(&mut self, ctx: &mut Ctx) {
+        ctx.event_driven();
+    }
+
     fn body(&mut self, _ctx: &mut Ctx) -> Control {
         let Closer { net, requests } = self;
         let worked = requests.drain(|msg| {

@@ -310,7 +310,8 @@ pub trait CompletionRing: Send + fmt::Debug {
     /// or epoll instance itself). The consumer declares it with
     /// [`eactors::actor::Ctx::watch_fd`] so its worker's park ends when
     /// a socket has news. `None` means nothing pollable exists: the
-    /// worker's `park_timeout` paces the reaps.
+    /// consumer paces its reaps with a timer
+    /// ([`eactors::actor::Ctx::wake_after`]).
     fn wait_fd(&self) -> Option<i32>;
 
     /// Bind the ring's counters, if it keeps any, into `registry` (the

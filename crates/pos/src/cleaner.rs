@@ -1,6 +1,7 @@
 //! The housekeeping eactor that recycles superseded store entries.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use eactors::actor::{Actor, Control, Ctx};
 use eactors::obs;
@@ -32,14 +33,15 @@ use crate::store::PosStore;
 /// let store = PosStore::new(PosConfig::default());
 /// let platform = Platform::builder().build();
 /// let mut b = DeploymentBuilder::new();
-/// let cleaner = b.actor("cleaner", Placement::Untrusted, Cleaner::new(store.clone(), 1));
+/// let every = std::time::Duration::from_millis(1);
+/// let cleaner = b.actor("cleaner", Placement::Untrusted, Cleaner::new(store.clone(), every));
 /// # let _ = cleaner;
 /// ```
 #[derive(Debug)]
 pub struct Cleaner {
     slots: Vec<CleanSlot>,
-    interval: u64,
-    countdown: u64,
+    interval: Duration,
+    next_pass: Instant,
     freed_total: u64,
     cleans: Arc<obs::Counter>,
     freed: Arc<obs::Counter>,
@@ -59,15 +61,15 @@ struct CleanSlot {
 }
 
 impl Cleaner {
-    /// A cleaner for one `store` running a pass every `interval` body
-    /// executions (minimum 1).
-    pub fn new(store: Arc<PosStore>, interval: u64) -> Self {
+    /// A cleaner for one `store` running a pass every `interval` — of
+    /// time, so the reclaim rate does not depend on how often the
+    /// hosting worker happens to run the body.
+    pub fn new(store: Arc<PosStore>, interval: Duration) -> Self {
         Self::for_stores(vec![store], interval)
     }
 
     /// A cleaner servicing many stores round-robin in one pass.
-    pub fn for_stores(stores: Vec<Arc<PosStore>>, interval: u64) -> Self {
-        let interval = interval.max(1);
+    pub fn for_stores(stores: Vec<Arc<PosStore>>, interval: Duration) -> Self {
         Cleaner {
             slots: stores
                 .into_iter()
@@ -78,7 +80,7 @@ impl Cleaner {
                 })
                 .collect(),
             interval,
-            countdown: interval,
+            next_pass: Instant::now(),
             freed_total: 0,
             cleans: Arc::new(obs::Counter::new()),
             freed: Arc::new(obs::Counter::new()),
@@ -101,14 +103,19 @@ impl Actor for Cleaner {
         let registry = ctx.obs_hub().registry();
         self.cleans = registry.register_counter("pos_cleans", self.cleans.clone());
         self.freed = registry.register_counter("pos_cleaner_freed", self.freed.clone());
+        // The stores change under the cleaner without a message; its
+        // only wake source is its own interval.
+        ctx.event_driven();
     }
 
-    fn body(&mut self, _ctx: &mut Ctx) -> Control {
-        self.countdown -= 1;
-        if self.countdown > 0 {
+    fn body(&mut self, ctx: &mut Ctx) -> Control {
+        let now = Instant::now();
+        if now < self.next_pass {
+            ctx.wake_after(self.next_pass - now);
             return Control::Idle;
         }
-        self.countdown = self.interval;
+        self.next_pass = now + self.interval;
+        ctx.wake_after(self.interval);
         let mut freed = 0usize;
         let mut visited = false;
         for slot in &mut self.slots {
@@ -155,6 +162,8 @@ mod tests {
     use eactors::prelude::*;
     use sgx_sim::{CostModel, Platform};
 
+    const EVERY: Duration = Duration::from_micros(100);
+
     fn tiny() -> Arc<PosStore> {
         PosStore::new(PosConfig {
             entries: 8,
@@ -177,7 +186,7 @@ mod tests {
         let platform = Platform::builder().cost_model(CostModel::zero()).build();
         let mut b = DeploymentBuilder::new();
         let store2 = store.clone();
-        let cleaner = b.actor("cleaner", Placement::Untrusted, Cleaner::new(store2, 1));
+        let cleaner = b.actor("cleaner", Placement::Untrusted, Cleaner::new(store2, EVERY));
         let stopper = b.actor(
             "stopper",
             Placement::Untrusted,
@@ -215,7 +224,7 @@ mod tests {
         }
         let platform = Platform::builder().cost_model(CostModel::zero()).build();
         let mut b = DeploymentBuilder::new();
-        let cleaner = Cleaner::for_stores(stores.clone(), 1);
+        let cleaner = Cleaner::for_stores(stores.clone(), EVERY);
         let c = b.actor("cleaner", Placement::Untrusted, cleaner);
         let probe = stores.clone();
         let stopper = b.actor(

@@ -37,6 +37,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use eactors::actor::{Actor, Control, Ctx};
 use eactors::obs;
@@ -103,15 +104,16 @@ impl StoreSlot {
 ///
 /// let store = PosStore::new(PosConfig::default());
 /// let path = std::env::temp_dir().join("syncer-doc.pos");
-/// let syncer = Syncer::new(vec![(store, path.clone())], 100);
+/// let every = std::time::Duration::from_millis(10);
+/// let syncer = Syncer::new(vec![(store, path.clone())], every);
 /// # let _ = syncer;
 /// # std::fs::remove_file(path).ok();
 /// ```
 #[derive(Debug)]
 pub struct Syncer {
     slots: Vec<StoreSlot>,
-    interval: u64,
-    countdown: u64,
+    interval: Duration,
+    next_pass: Instant,
     faults: FaultPlan,
     /// Shared with the deployment's metrics registry once the ctor runs;
     /// the same atomics either way.
@@ -125,18 +127,19 @@ pub struct Syncer {
 }
 
 impl Syncer {
-    /// A syncer persisting `stores` every `interval` body executions
-    /// (minimum 1). Each store syncs through its WAL when one is
-    /// attached, through a whole-image write to its path otherwise.
-    pub fn new(stores: Vec<(Arc<PosStore>, PathBuf)>, interval: u64) -> Self {
-        let interval = interval.max(1);
+    /// A syncer persisting `stores` every `interval` — of time, so the
+    /// durability lag does not depend on how often the hosting worker
+    /// happens to run the body. Each store syncs through its WAL when
+    /// one is attached, through a whole-image write to its path
+    /// otherwise.
+    pub fn new(stores: Vec<(Arc<PosStore>, PathBuf)>, interval: Duration) -> Self {
         Syncer {
             slots: stores
                 .into_iter()
                 .map(|(store, path)| StoreSlot::new(store, path))
                 .collect(),
             interval,
-            countdown: interval,
+            next_pass: Instant::now(),
             faults: FaultPlan::default(),
             syncs: Arc::new(obs::Counter::new()),
             failures: Arc::new(obs::Counter::new()),
@@ -215,14 +218,19 @@ impl Actor for Syncer {
             let gauge = registry.gauge(&format!("pos_store_{}_memory_bytes", slot.metric_name()));
             gauge.set(slot.store.memory_bytes());
         }
+        // The stores change under the syncer without a message; its only
+        // wake source is its own interval.
+        ctx.event_driven();
     }
 
     fn body(&mut self, ctx: &mut Ctx) -> Control {
-        self.countdown -= 1;
-        if self.countdown > 0 {
+        let now = Instant::now();
+        if now < self.next_pass {
+            ctx.wake_after(self.next_pass - now);
             return Control::Idle;
         }
-        self.countdown = self.interval;
+        self.next_pass = now + self.interval;
+        ctx.wake_after(self.interval);
         debug_assert!(
             !ctx.domain().is_trusted(),
             "the Syncer performs system calls and must run untrusted"
@@ -314,7 +322,11 @@ impl Actor for Syncer {
             attempted,
             u64::from(all_ok),
         );
-        Control::Busy
+        if attempted > 0 {
+            Control::Busy
+        } else {
+            Control::Idle
+        }
     }
 }
 
@@ -324,6 +336,8 @@ mod tests {
     use crate::{PosConfig, PosStore, WalConfig};
     use eactors::prelude::*;
     use sgx_sim::{CostModel, Platform};
+
+    const EVERY: Duration = Duration::from_micros(100);
 
     fn small_store() -> Arc<PosStore> {
         PosStore::new(PosConfig {
@@ -362,7 +376,7 @@ mod tests {
                 Control::Busy
             }),
         );
-        let syncer = Syncer::new(vec![(store.clone(), path.clone())], 1);
+        let syncer = Syncer::new(vec![(store.clone(), path.clone())], EVERY);
         let syncs = syncer.syncs();
         let s = b.actor("syncer", Placement::Untrusted, syncer);
         let syncs2 = syncs.clone();
@@ -400,7 +414,7 @@ mod tests {
         let bad_path = PathBuf::from("/nonexistent-dir-zzz/image.pos");
         let platform = Platform::builder().cost_model(CostModel::zero()).build();
         let mut b = DeploymentBuilder::new();
-        let syncer = Syncer::new(vec![(store, bad_path)], 1);
+        let syncer = Syncer::new(vec![(store, bad_path)], EVERY);
         let failures = syncer.failures();
         let s = b.actor("syncer", Placement::Untrusted, syncer);
         let failures2 = failures.clone();
@@ -445,7 +459,7 @@ mod tests {
                 (bad, PathBuf::from("/nonexistent-dir-zzz/bad.pos")),
                 (good.clone(), good_path.clone()),
             ],
-            1,
+            EVERY,
         );
         let failures = syncer.failures();
         let s = b.actor("syncer", Placement::Untrusted, syncer);
@@ -493,7 +507,8 @@ mod tests {
             .fault_plan(plan.clone())
             .build();
         let mut b = DeploymentBuilder::new();
-        let syncer = Syncer::new(vec![(store, path.clone())], 1).with_fault_plan(platform.faults());
+        let syncer =
+            Syncer::new(vec![(store, path.clone())], EVERY).with_fault_plan(platform.faults());
         let failures = syncer.failures();
         let syncs = syncer.syncs();
         let s = b.actor("syncer", Placement::Untrusted, syncer);
@@ -536,7 +551,7 @@ mod tests {
 
         let platform = Platform::builder().cost_model(CostModel::zero()).build();
         let mut b = DeploymentBuilder::new();
-        let syncer = Syncer::new(vec![(store.clone(), path.clone())], 1);
+        let syncer = Syncer::new(vec![(store.clone(), path.clone())], EVERY);
         let skips = syncer.sync_skips();
         let syncs = syncer.syncs();
         let s = b.actor("syncer", Placement::Untrusted, syncer);
@@ -610,7 +625,7 @@ mod tests {
                 Control::Busy
             }),
         );
-        let syncer = Syncer::new(Vec::new(), 1).with_wal_stores(vec![store.clone()]);
+        let syncer = Syncer::new(Vec::new(), EVERY).with_wal_stores(vec![store.clone()]);
         let records = syncer.wal_records();
         let s = b.actor("syncer", Placement::Untrusted, syncer);
         let records2 = records.clone();

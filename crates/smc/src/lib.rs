@@ -267,9 +267,12 @@ mod tests {
             "expected ≥ 2*(K+1) crossings, got {per_round}"
         );
 
+        // Workers that never park never leave their enclaves: under the
+        // default budget a worker descheduled for 24 us would park, and
+        // each park is a crossing out and one back in.
         let p2 = Platform::builder().build();
         let before = p2.stats().transitions();
-        run_ea(&p2, &config).unwrap();
+        party::run_ea_idling(&p2, &config, eactors::prelude::IdlePolicy::spin_only()).unwrap();
         let total = p2.stats().transitions() - before;
         // Setup (enclave creation, attestation ECalls, worker entry/exit)
         // pays a fixed number of crossings; the 10 rounds add none.

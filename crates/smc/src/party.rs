@@ -49,6 +49,8 @@ impl FirstParty {
 impl Actor for FirstParty {
     fn ctor(&mut self, ctx: &mut Ctx) {
         self.rng = ctx.enclave().cloned().map(TrustedRng::new);
+        // Round requests and ring frames both arrive on channels.
+        ctx.event_driven();
     }
 
     fn body(&mut self, ctx: &mut Ctx) -> Control {
@@ -135,6 +137,10 @@ impl RingParty {
 }
 
 impl Actor for RingParty {
+    fn ctor(&mut self, ctx: &mut Ctx) {
+        ctx.event_driven();
+    }
+
     fn body(&mut self, ctx: &mut Ctx) -> Control {
         let mut worked = false;
         loop {
@@ -176,10 +182,11 @@ struct Driver {
 }
 
 impl Actor for Driver {
-    fn ctor(&mut self, _ctx: &mut Ctx) {
+    fn ctor(&mut self, ctx: &mut Ctx) {
         if self.config.verify {
             self.replicas = self.config.initial_secrets();
         }
+        ctx.event_driven();
     }
 
     fn body(&mut self, ctx: &mut Ctx) -> Control {
@@ -267,12 +274,23 @@ impl Actor for Driver {
 /// # Ok::<(), smc::SmcError>(())
 /// ```
 pub fn run_ea(platform: &Platform, config: &SmcConfig) -> Result<SmcResult, SmcError> {
+    run_ea_idling(platform, config, IdlePolicy::default())
+}
+
+/// [`run_ea`] under a chosen idle policy (tests that count crossings
+/// must keep the workers from parking: a park leaves the enclave).
+pub(crate) fn run_ea_idling(
+    platform: &Platform,
+    config: &SmcConfig,
+    idle: IdlePolicy,
+) -> Result<SmcResult, SmcError> {
     config.validate()?;
     let secrets = config.initial_secrets();
     let payload = config.dim * 4 + 64; // room for the encryption framing
     let nodes = (config.inflight as u32 + 4).max(8);
 
     let mut b = DeploymentBuilder::new();
+    b.idle_policy(idle);
     b.channel_defaults(ChannelOptions {
         nodes,
         payload,

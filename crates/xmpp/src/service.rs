@@ -295,6 +295,10 @@ impl Actor for Connector {
             .stats()
             .register(registry, "xmpp_conn_closer");
         registry.register_gauge("xmpp_shard_imbalance", self.imbalance.clone());
+        // Everything the CONNECTOR reacts to is a reply on its mbox. (The
+        // imbalance gauge it also derives is refreshed whenever it runs,
+        // at the latest every `IdlePolicy::net_park_cap`.)
+        ctx.event_driven();
     }
 
     fn body(&mut self, _ctx: &mut Ctx) -> Control {
@@ -434,7 +438,9 @@ impl Actor for Connector {
             }
             self.imbalance.set(max.saturating_sub(min));
         }
-        if worked {
+        // An `Unwatch` still owed keeps the actor hot: the READER frees
+        // room in its port without telling anyone.
+        if worked || !self.unwatch_retry.is_empty() {
             Control::Busy
         } else {
             Control::Idle
@@ -713,6 +719,9 @@ impl Actor for XmppInstance {
         self.assign
             .stats()
             .register(registry, &format!("xmpp_assign_{}", self.index));
+        // Assignments, socket data and shard confirmations all arrive on
+        // mboxes; the one thing owed, `shard_backlog`, reports `Busy`.
+        ctx.event_driven();
     }
 
     fn body(&mut self, ctx: &mut Ctx) -> Control {

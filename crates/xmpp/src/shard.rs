@@ -29,7 +29,7 @@
 //! harness's ≥100k sessions) cannot exhaust a slice's store.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use eactors::actor::{Actor, Control, Ctx};
 use eactors::obs;
@@ -564,9 +564,13 @@ impl OwnedReply {
     }
 }
 
-/// How many idle passes a shard waits between incremental cleaner runs
-/// over its slice.
-const CLEAN_EVERY_IDLE: u32 = 16;
+/// How long a shard that owes its slice cleaner runs waits between two
+/// of them (and after the write that made it owe them).
+const CLEAN_EVERY: Duration = Duration::from_micros(250);
+
+/// Cleaner runs owed after a write: unlink, grace and free take
+/// separate passes over the store.
+const CLEANS_PER_WRITE: u8 = 3;
 
 /// The shard actor: single writer of one directory slice.
 ///
@@ -585,12 +589,13 @@ pub(crate) struct DirShard {
     /// Shared with the CONNECTOR, which derives the imbalance gauge.
     sessions: Arc<obs::Gauge>,
     queue_delay: Option<Arc<obs::Log2Hist>>,
-    idle_passes: u32,
-    /// Idle cleaner passes still owed after the last applied write;
-    /// quiescent shards skip `clean()` entirely (it takes the store's
-    /// cleaner lock and advances the epoch even with nothing retired —
-    /// waste that multiplies with the shard count on small hosts).
+    /// Cleaner runs still owed after the last applied write, and when
+    /// the next is due. A quiescent shard owes none and skips `clean()`
+    /// entirely (it takes the store's cleaner lock and advances the
+    /// epoch even with nothing retired — waste that multiplies with the
+    /// shard count on small hosts).
     pending_cleans: u8,
+    next_clean: Instant,
 }
 
 impl DirShard {
@@ -610,8 +615,8 @@ impl DirShard {
             backlog: Vec::new(),
             sessions,
             queue_delay: None,
-            idle_passes: 0,
             pending_cleans: 0,
+            next_clean: Instant::now(),
         }
     }
 }
@@ -644,9 +649,12 @@ impl Actor for DirShard {
         );
         self.queue_delay =
             Some(registry.hist(&format!("xmpp_shard_{}_queue_delay_ns", self.index)));
+        // Requests arrive on the shard's port; owed replies report
+        // `Busy`, owed cleaner runs arm a timer.
+        ctx.event_driven();
     }
 
-    fn body(&mut self, _ctx: &mut Ctx) -> Control {
+    fn body(&mut self, ctx: &mut Ctx) -> Control {
         // Parked replies first: FIFO towards each instance is preserved
         // because new replies for an instance only go out behind its
         // backlog (see `reply` below).
@@ -743,29 +751,38 @@ impl Actor for DirShard {
             }
         }) > 0;
 
-        if worked || had_backlog {
-            self.idle_passes = 0;
+        // Housekeeping: amortised incremental cleaning keeps churn (the
+        // load harness's connect/disconnect mix) from exhausting the
+        // slice's store. Writes retire store entries, so each one owes a
+        // few runs, spaced in time whether the shard is loaded or not. A
+        // quiescent shard owes none, reads no clock, arms no timer and
+        // stays off the cleaner lock entirely.
+        if worked || self.pending_cleans > 0 {
+            let now = Instant::now();
+            if self.pending_cleans == 0 {
+                self.next_clean = now + CLEAN_EVERY;
+            }
             if worked {
-                // Writes retire store entries; unlink, grace and free
-                // take separate cleaner passes, so owe a few.
-                self.pending_cleans = 3;
+                self.pending_cleans = CLEANS_PER_WRITE;
             }
-            return Control::Busy;
-        }
-        // Idle housekeeping: amortised incremental cleaning keeps churn
-        // (the load harness's connect/disconnect mix) from exhausting the
-        // slice's store. A quiescent shard owes no passes and stays off
-        // the cleaner lock entirely.
-        self.idle_passes += 1;
-        if self.pending_cleans > 0 && self.idle_passes >= CLEAN_EVERY_IDLE {
-            self.idle_passes = 0;
-            if self.slice.store().clean() > 0 {
-                self.pending_cleans = 3;
-                return Control::Busy;
+            if now >= self.next_clean {
+                self.next_clean = now + CLEAN_EVERY;
+                if self.slice.store().clean() > 0 {
+                    // Progress: more may become freeable.
+                    self.pending_cleans = CLEANS_PER_WRITE;
+                } else {
+                    self.pending_cleans -= 1;
+                }
             }
-            self.pending_cleans -= 1;
+            if self.pending_cleans > 0 {
+                ctx.wake_after(self.next_clean.saturating_duration_since(now));
+            }
         }
-        Control::Idle
+        if worked || had_backlog {
+            Control::Busy
+        } else {
+            Control::Idle
+        }
     }
 }
 

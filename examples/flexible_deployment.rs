@@ -20,6 +20,11 @@ struct Producer {
 }
 
 impl Actor for Producer {
+    fn ctor(&mut self, ctx: &mut Ctx) {
+        // No input at all: the producer is busy until it is done.
+        ctx.event_driven();
+    }
+
     fn body(&mut self, ctx: &mut Ctx) -> Control {
         if self.remaining == 0 {
             return Control::Park;
@@ -27,16 +32,20 @@ impl Actor for Producer {
         let value = self.remaining;
         if ctx.channel(0).send(&value.to_le_bytes()).is_ok() {
             self.remaining -= 1;
-            Control::Busy
-        } else {
-            Control::Idle
         }
+        // Busy also when the channel was full: nothing announces room in
+        // it, so a value still owed keeps the actor hot.
+        Control::Busy
     }
 }
 
 struct Transformer;
 
 impl Actor for Transformer {
+    fn ctor(&mut self, ctx: &mut Ctx) {
+        ctx.event_driven();
+    }
+
     fn body(&mut self, ctx: &mut Ctx) -> Control {
         let mut buf = [0u8; 8];
         match ctx.channel(0).try_recv(&mut buf) {
@@ -57,6 +66,10 @@ struct Auditor {
 }
 
 impl Actor for Auditor {
+    fn ctor(&mut self, ctx: &mut Ctx) {
+        ctx.event_driven();
+    }
+
     fn body(&mut self, ctx: &mut Ctx) -> Control {
         let mut buf = [0u8; 8];
         match ctx.channel(0).try_recv(&mut buf) {

@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("free entries before cleaning: {}", store.free_entries());
 
     // The Cleaner reclaims shadowed versions once readers moved on.
-    let cleaner = Cleaner::new(store.clone(), 1);
+    let cleaner = Cleaner::new(store.clone(), std::time::Duration::from_millis(1));
     let freed = store.clean_to_quiescence();
     println!(
         "cleaner reclaimed {freed} superseded entries (actor freed {} so far)",

@@ -46,6 +46,9 @@ struct Greeter {
 impl Actor for Greeter {
     fn ctor(&mut self, ctx: &mut Ctx) {
         self.replies = ctx.port("replies");
+        // Replies are the only input, so the worker may sleep until one
+        // arrives instead of polling this actor.
+        ctx.event_driven();
     }
 
     fn body(&mut self, ctx: &mut Ctx) -> Control {
@@ -66,8 +69,10 @@ impl Actor for Greeter {
                 .is_ok()
             {
                 self.sent += 1;
-                return Control::Busy;
             }
+            // Busy also when the channel was full: nothing announces
+            // room in it, so a greeting still owed keeps the actor hot.
+            return Control::Busy;
         }
         Control::Idle
     }
@@ -82,6 +87,7 @@ struct Echo {
 impl Actor for Echo {
     fn ctor(&mut self, ctx: &mut Ctx) {
         self.replies = ctx.port("replies");
+        ctx.event_driven();
     }
 
     fn body(&mut self, ctx: &mut Ctx) -> Control {

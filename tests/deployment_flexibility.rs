@@ -13,6 +13,9 @@ use sgx_sim::{CostModel, Platform};
 fn run_pipeline(placements: [Option<usize>; 3], enclaves: usize) -> (u64, u64) {
     let platform = Platform::builder().cost_model(CostModel::zero()).build();
     let mut b = DeploymentBuilder::new();
+    // The transition counts below are of a worker that never parks (a
+    // park leaves the enclave).
+    b.idle_policy(IdlePolicy::spin_only());
     let slots: Vec<_> = (0..enclaves).map(|i| b.enclave(&format!("e{i}"))).collect();
     let place = |p: Option<usize>| match p {
         None => Placement::Untrusted,
