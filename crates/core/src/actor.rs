@@ -283,15 +283,6 @@ impl Ctx {
         self.wake.sleepers()
     }
 
-    /// The runtime's wake hub, for waking parked workers on a condition
-    /// no mbox carries ([`crate::wake::WakeHub::notify`]). Actors never
-    /// park on it: a body must not block, and an actor that also waits
-    /// for a kernel object hands the descriptor to its worker with
-    /// [`Ctx::watch_fd`] instead.
-    pub fn wake_hub(&self) -> &Arc<crate::wake::WakeHub> {
-        &self.wake
-    }
-
     /// Promise, once and from [`Actor::ctor`], that this actor needs no
     /// polling: every input it reacts to either arrives through an mbox
     /// or channel (whose `send` wakes the consuming worker), makes a

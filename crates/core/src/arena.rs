@@ -387,19 +387,6 @@ impl Arena {
         &self.name
     }
 
-    /// The arena's contiguous payload slab as `(base, length-in-bytes)`
-    /// — node `i`'s payload occupies `base + i * payload_size()`.
-    ///
-    /// Exists so kernel-bypass I/O layers can register the whole slab
-    /// once (io_uring fixed buffers) and then address individual node
-    /// payloads inside it. The pointer stays valid for the arena's
-    /// lifetime (the slab is boxed and never reallocated); writing
-    /// through it is only sound for byte ranges of nodes the writer
-    /// owns — exactly the guarantee [`Node`] ownership already gives.
-    pub fn payload_region(&self) -> (*const u8, usize) {
-        (self.payload.as_ptr().cast(), self.payload.len())
-    }
-
     /// Bytes of memory this arena occupies (for EPC accounting).
     pub fn memory_bytes(&self) -> u64 {
         (self.slots.len() * (std::mem::size_of::<NodeSlot>() + self.payload_size)) as u64
@@ -1187,117 +1174,6 @@ impl Mbox {
         }
     }
 
-    /// Enqueue nodes from the front of `nodes` (FIFO), claiming a whole
-    /// run of slots with **one** cursor CAS and waking parked workers
-    /// **once** — the per-message atomic and fence costs of
-    /// [`Mbox::send`] amortised over the batch.
-    ///
-    /// Returns the number of nodes sent; they are drained from the front
-    /// of `nodes`. Stops early (leaving the rest in place) when the mbox
-    /// fills up or a node from a foreign arena is encountered, so callers
-    /// apply back-pressure exactly as with `send`.
-    pub fn send_batch(&self, nodes: &mut Vec<Node>) -> usize {
-        // Only a prefix of same-arena nodes is eligible.
-        let want = nodes
-            .iter()
-            .take_while(|n| Arc::ptr_eq(&n.arena, &self.arena))
-            .count();
-        if want == 0 {
-            return 0;
-        }
-        match self.kind() {
-            MboxKind::Spsc => self.send_batch_spsc(nodes, want),
-            _ => self.send_batch_shared(nodes, want),
-        }
-    }
-
-    /// SPSC batch enqueue: one Acquire head read, one Release tail
-    /// publish, no CAS at all.
-    fn send_batch_spsc(&self, nodes: &mut Vec<Node>, want: usize) -> usize {
-        self.note_single_side(&self.producer_thread, "producer");
-        let tail = self.enqueue_pos.0.load(Ordering::Relaxed);
-        let head = self.dequeue_pos.0.load(Ordering::Acquire);
-        let free = self.slots.len() - tail.wrapping_sub(head);
-        let n = want.min(free);
-        if n == 0 {
-            return 0; // full
-        }
-        let traced = cfg!(feature = "trace") && obs::enabled();
-        let now = if traced { obs::clock::now_cycles() } else { 0 };
-        for (i, node) in nodes.drain(..n).enumerate() {
-            if traced {
-                // Safety: the node is still ours here.
-                unsafe { *self.arena.stamp_ptr(node.idx) = now };
-                obs::emit(obs::EventKind::MboxSend, 0, node.len() as u64, 0);
-            }
-            let slot = &self.slots[(tail + i) & self.mask];
-            // Safety: tail - head < capacity held for every slot in the
-            // run; the single consumer cannot touch them until the
-            // Release publish below.
-            unsafe { *slot.value.get() = node.into_raw() };
-        }
-        self.enqueue_pos.0.store(tail + n, Ordering::Release);
-        self.notify_consumer();
-        n
-    }
-
-    /// Vyukov batch enqueue (also the producer path of `Mpsc`).
-    fn send_batch_shared(&self, nodes: &mut Vec<Node>, want: usize) -> usize {
-        let mut pos = self.enqueue_pos.0.load(Ordering::Relaxed);
-        'claim: loop {
-            // Count how many slots starting at `pos` are free this lap. A
-            // free slot's sequence equals its position; consumers only ever
-            // advance sequences towards that value, and no producer can
-            // touch these slots without first moving `enqueue_pos` past us
-            // (which fails our CAS below). So an observed-free run stays
-            // free until we claim it.
-            let mut n = 0;
-            while n < want {
-                let slot = &self.slots[(pos + n) & self.mask];
-                let seq = slot.sequence.load(Ordering::Acquire);
-                match (seq as isize).wrapping_sub((pos + n) as isize) {
-                    0 => n += 1,
-                    d if d < 0 => break, // occupied: full from here
-                    _ => {
-                        // Another producer overtook us; re-read the cursor.
-                        pos = self.enqueue_pos.0.load(Ordering::Relaxed);
-                        continue 'claim;
-                    }
-                }
-            }
-            if n == 0 {
-                return 0; // full
-            }
-            match self.enqueue_pos.0.compare_exchange_weak(
-                pos,
-                pos + n,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    let traced = cfg!(feature = "trace") && obs::enabled();
-                    let now = if traced { obs::clock::now_cycles() } else { 0 };
-                    for (i, node) in nodes.drain(..n).enumerate() {
-                        let slot = &self.slots[(pos + i) & self.mask];
-                        if traced {
-                            // Safety: the node is still ours here; one
-                            // clock read stamps the whole batch.
-                            unsafe { *self.arena.stamp_ptr(node.idx) = now };
-                            obs::emit(obs::EventKind::MboxSend, 0, node.len() as u64, 0);
-                        }
-                        // Safety: we claimed [pos, pos+n); each slot was
-                        // observed free for this lap.
-                        unsafe { *slot.value.get() = node.into_raw() };
-                        slot.sequence.store(pos + i + 1, Ordering::Release);
-                    }
-                    self.notify_consumer();
-                    return n;
-                }
-                Err(p) => pos = p,
-            }
-        }
-    }
-
     /// Dequeue up to `max` messages with **one** cursor CAS, appending
     /// them to `out` in FIFO order. Returns how many were received.
     ///
@@ -1648,50 +1524,6 @@ mod tests {
     }
 
     #[test]
-    fn send_batch_preserves_fifo_and_backpressure() {
-        let arena = Arena::new("t", 16, 8);
-        let mbox = Mbox::new(arena.clone(), 4);
-        let mut batch: Vec<Node> = (0..6u8)
-            .map(|i| {
-                let mut n = arena.try_pop().unwrap();
-                n.write(&[i]);
-                n
-            })
-            .collect();
-        // Capacity 4: only the first four go; two stay for retry.
-        assert_eq!(mbox.send_batch(&mut batch), 4);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0].bytes(), &[4]);
-        for i in 0..4u8 {
-            assert_eq!(mbox.recv().unwrap().bytes(), &[i]);
-        }
-        assert_eq!(mbox.send_batch(&mut batch), 2);
-        assert_eq!(mbox.recv().unwrap().bytes(), &[4]);
-        assert_eq!(mbox.recv().unwrap().bytes(), &[5]);
-        assert!(mbox.recv().is_none());
-        assert_eq!(arena.free_nodes(), 16);
-    }
-
-    #[test]
-    fn send_batch_stops_at_foreign_arena_node() {
-        let a1 = Arena::new("a1", 4, 8);
-        let a2 = Arena::new("a2", 4, 8);
-        let mbox = Mbox::new(a1.clone(), 4);
-        let mut batch = vec![
-            a1.try_pop().unwrap(),
-            a2.try_pop().unwrap(),
-            a1.try_pop().unwrap(),
-        ];
-        assert_eq!(mbox.send_batch(&mut batch), 1);
-        assert_eq!(batch.len(), 2, "foreign node and its successor stay put");
-        assert_eq!(
-            mbox.send_batch(&mut batch),
-            0,
-            "foreign node blocks the front"
-        );
-    }
-
-    #[test]
     fn recv_batch_drains_in_order() {
         let arena = Arena::new("t", 16, 8);
         let mbox = Mbox::new(arena.clone(), 16);
@@ -1723,20 +1555,16 @@ mod tests {
                 let arena = arena.clone();
                 let mbox = mbox.clone();
                 s.spawn(move || {
-                    let mut batch = Vec::new();
-                    let mut i = 0u64;
-                    while i < per_producer || !batch.is_empty() {
-                        while i < per_producer && batch.len() < 8 {
+                    for i in 0..per_producer {
+                        let mut n = loop {
                             match arena.try_pop() {
-                                Some(mut n) => {
-                                    n.write(&(((p as u64) << 32 | i).to_le_bytes()));
-                                    batch.push(n);
-                                    i += 1;
-                                }
-                                None => break,
+                                Some(n) => break n,
+                                None => std::hint::spin_loop(),
                             }
-                        }
-                        if mbox.send_batch(&mut batch) == 0 {
+                        };
+                        n.write(&(((p as u64) << 32 | i).to_le_bytes()));
+                        while let Err(back) = mbox.send(n) {
+                            n = back;
                             std::hint::spin_loop();
                         }
                     }

@@ -19,10 +19,12 @@
 //!   encrypts payloads exactly when its endpoints live in different
 //!   enclaves (keys agreed via local attestation), so actor code is
 //!   location-independent.
-//! * **Deployment as configuration.** A [`config::DeploymentBuilder`] (or
-//!   a JSON [`spec::DeploymentSpec`]) assigns actors to enclaves, workers
-//!   and CPUs; moving an actor in or out of trusted execution changes
-//!   *one line of configuration*, not the actor.
+//! * **Deployment as configuration.** A [`config::DeploymentBuilder`]
+//!   assigns actors to enclaves, workers and CPUs — it is the one
+//!   description of a deployment, and a JSON document
+//!   ([`spec::DeploymentSpec`]) is read straight into its calls; moving
+//!   an actor in or out of trusted execution changes *one line of
+//!   configuration*, not the actor.
 //! * **Workers.** Each [`runtime::Runtime`] worker executes its actors
 //!   round-robin; a worker whose actors share one enclave never leaves
 //!   it, eliminating the 8 000-cycle transition cost that dominates

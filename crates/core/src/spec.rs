@@ -3,9 +3,12 @@
 //! The paper drives its custom build process from a configuration file
 //! that maps eactors to enclaves, workers and CPUs (§3.2), so the *same*
 //! application sources yield different trusted/untrusted deployments. This
-//! module is the runtime equivalent: a JSON-serialisable
-//! [`DeploymentSpec`] plus an [`ActorRegistry`] of named constructors,
-//! turning a JSON document into a [`crate::config::DeploymentBuilder`].
+//! module is the runtime equivalent: a JSON document
+//! ([`DeploymentSpec::from_json`]) plus an [`ActorRegistry`] of named
+//! constructors, read once and turned straight into
+//! [`crate::config::DeploymentBuilder`] calls. The builder is the only
+//! description of a deployment the program holds; there is no
+//! serialisable mirror of it and no way back to JSON.
 //!
 //! # Examples
 //!
@@ -48,99 +51,13 @@ use crate::config::{
 };
 use crate::json::{self, Value};
 
-/// Declarative description of an enclave.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnclaveSpec {
-    /// Enclave name (also determines its simulated measurement).
-    pub name: String,
-    /// Base EPC bytes for code and data.
-    pub size_bytes: Option<u64>,
-}
-
-/// Declarative description of an actor instance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActorSpec {
-    /// Unique instance name.
-    pub name: String,
-    /// Registered constructor kind (see [`ActorRegistry::register`]).
-    pub kind: String,
-    /// Enclave to place the actor in; omitted means untrusted.
-    pub enclave: Option<String>,
-    /// Free-form parameters forwarded to the constructor.
-    pub params: Value,
-}
-
-/// Declarative description of a worker thread.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerSpec {
-    /// Names of the actors this worker executes round-robin.
-    pub actors: Vec<String>,
-    /// Optional CPU to pin the worker to.
-    pub cpu: Option<usize>,
-}
-
-/// Declarative description of a channel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChannelSpec {
-    /// Initiator actor name.
-    pub a: String,
-    /// Client actor name.
-    pub b: String,
-    /// Preallocated node count (default 64).
-    pub nodes: Option<u32>,
-    /// Payload bytes per node (default 4096).
-    pub payload: Option<usize>,
-    /// `false` forces plaintext even across enclaves (default: auto).
-    pub encrypted: Option<bool>,
-}
-
-/// Declarative description of a named shared pool.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolSpec {
-    /// Pool name.
-    pub name: String,
-    /// Enclave owning the pool memory; omitted means untrusted memory.
-    pub enclave: Option<String>,
-    /// Node count.
-    pub nodes: u32,
-    /// Payload bytes per node.
-    pub payload: usize,
-}
-
-/// Declarative description of a named shared mbox.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MboxSpec {
-    /// Mbox name.
-    pub name: String,
-    /// Name of the pool whose nodes it carries.
-    pub pool: String,
-    /// Message capacity.
-    pub capacity: usize,
-    /// Actors declared as the only senders, or `None` when open.
-    ///
-    /// Together with `consumers` this lets the builder prove an
-    /// SPSC/MPSC cursor protocol from worker placement; omitted roles
-    /// keep the general MPMC protocol.
-    pub producers: Option<Vec<String>>,
-    /// Actors declared as the only receivers, or `None` when open.
-    pub consumers: Option<Vec<String>>,
-}
-
-/// A complete, serialisable deployment description.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A parsed deployment document, not yet bound to actor constructors.
+///
+/// Holds the JSON as parsed; [`DeploymentSpec::into_builder`] reads it
+/// once, checking the schema as it issues the builder calls.
+#[derive(Debug, Clone)]
 pub struct DeploymentSpec {
-    /// Enclaves to create.
-    pub enclaves: Vec<EnclaveSpec>,
-    /// Actor instances.
-    pub actors: Vec<ActorSpec>,
-    /// Worker threads.
-    pub workers: Vec<WorkerSpec>,
-    /// Channels between actors.
-    pub channels: Vec<ChannelSpec>,
-    /// Named shared pools.
-    pub pools: Vec<PoolSpec>,
-    /// Named shared mboxes.
-    pub mboxes: Vec<MboxSpec>,
+    doc: Value,
 }
 
 /// Errors turning a [`DeploymentSpec`] into a builder.
@@ -258,204 +175,14 @@ impl DeploymentSpec {
     ///
     /// # Errors
     ///
-    /// [`SpecError::Parse`] on malformed JSON.
+    /// [`SpecError::Parse`] on malformed JSON, [`SpecError::Schema`] when
+    /// the document is not an object.
     pub fn from_json(json: &str) -> Result<Self, SpecError> {
         let doc = json::parse(json).map_err(SpecError::Parse)?;
-        Self::from_value(&doc)
-    }
-
-    /// Serialise the spec to pretty JSON.
-    pub fn to_json(&self) -> String {
-        self.to_value().pretty()
-    }
-
-    fn from_value(doc: &Value) -> Result<Self, SpecError> {
-        let obj = || schema("deployment spec must be a JSON object");
         if doc.as_object().is_none() {
-            return Err(obj());
+            return Err(schema("deployment spec must be a JSON object"));
         }
-        Ok(DeploymentSpec {
-            enclaves: list(doc, "enclaves", |v| {
-                Ok(EnclaveSpec {
-                    name: req_str(v, "name", "enclave")?,
-                    size_bytes: opt_u64(v, "size_bytes", "enclave")?,
-                })
-            })?,
-            actors: list(doc, "actors", |v| {
-                Ok(ActorSpec {
-                    name: req_str(v, "name", "actor")?,
-                    kind: req_str(v, "kind", "actor")?,
-                    enclave: opt_str(v, "enclave", "actor")?,
-                    params: v.get("params").cloned().unwrap_or(Value::Null),
-                })
-            })?,
-            workers: list(doc, "workers", |v| {
-                Ok(WorkerSpec {
-                    actors: str_array(v, "actors", "worker")?,
-                    cpu: opt_u64(v, "cpu", "worker")?.map(|c| c as usize),
-                })
-            })?,
-            channels: list(doc, "channels", |v| {
-                Ok(ChannelSpec {
-                    a: req_str(v, "a", "channel")?,
-                    b: req_str(v, "b", "channel")?,
-                    nodes: opt_u64(v, "nodes", "channel")?.map(|n| n as u32),
-                    payload: opt_u64(v, "payload", "channel")?.map(|n| n as usize),
-                    encrypted: match v.get("encrypted") {
-                        None | Some(Value::Null) => None,
-                        Some(e) => Some(
-                            e.as_bool()
-                                .ok_or_else(|| schema("channel \"encrypted\" must be a boolean"))?,
-                        ),
-                    },
-                })
-            })?,
-            pools: list(doc, "pools", |v| {
-                Ok(PoolSpec {
-                    name: req_str(v, "name", "pool")?,
-                    enclave: opt_str(v, "enclave", "pool")?,
-                    nodes: req_u64(v, "nodes", "pool")? as u32,
-                    payload: req_u64(v, "payload", "pool")? as usize,
-                })
-            })?,
-            mboxes: list(doc, "mboxes", |v| {
-                Ok(MboxSpec {
-                    name: req_str(v, "name", "mbox")?,
-                    pool: req_str(v, "pool", "mbox")?,
-                    capacity: req_u64(v, "capacity", "mbox")? as usize,
-                    producers: opt_str_array(v, "producers", "mbox")?,
-                    consumers: opt_str_array(v, "consumers", "mbox")?,
-                })
-            })?,
-        })
-    }
-
-    fn to_value(&self) -> Value {
-        let string = |s: &str| Value::String(s.to_owned());
-        let num = |n: u64| Value::Number(n as f64);
-        let mut root = Vec::new();
-        root.push((
-            "enclaves".to_owned(),
-            Value::Array(
-                self.enclaves
-                    .iter()
-                    .map(|e| {
-                        let mut m = vec![("name".to_owned(), string(&e.name))];
-                        if let Some(b) = e.size_bytes {
-                            m.push(("size_bytes".to_owned(), num(b)));
-                        }
-                        Value::Object(m)
-                    })
-                    .collect(),
-            ),
-        ));
-        root.push((
-            "actors".to_owned(),
-            Value::Array(
-                self.actors
-                    .iter()
-                    .map(|a| {
-                        let mut m = vec![
-                            ("name".to_owned(), string(&a.name)),
-                            ("kind".to_owned(), string(&a.kind)),
-                        ];
-                        if let Some(e) = &a.enclave {
-                            m.push(("enclave".to_owned(), string(e)));
-                        }
-                        if !a.params.is_null() {
-                            m.push(("params".to_owned(), a.params.clone()));
-                        }
-                        Value::Object(m)
-                    })
-                    .collect(),
-            ),
-        ));
-        root.push((
-            "workers".to_owned(),
-            Value::Array(
-                self.workers
-                    .iter()
-                    .map(|w| {
-                        let mut m = vec![(
-                            "actors".to_owned(),
-                            Value::Array(w.actors.iter().map(|a| string(a)).collect()),
-                        )];
-                        if let Some(cpu) = w.cpu {
-                            m.push(("cpu".to_owned(), num(cpu as u64)));
-                        }
-                        Value::Object(m)
-                    })
-                    .collect(),
-            ),
-        ));
-        root.push((
-            "channels".to_owned(),
-            Value::Array(
-                self.channels
-                    .iter()
-                    .map(|c| {
-                        let mut m = vec![
-                            ("a".to_owned(), string(&c.a)),
-                            ("b".to_owned(), string(&c.b)),
-                        ];
-                        if let Some(n) = c.nodes {
-                            m.push(("nodes".to_owned(), num(n as u64)));
-                        }
-                        if let Some(p) = c.payload {
-                            m.push(("payload".to_owned(), num(p as u64)));
-                        }
-                        if let Some(e) = c.encrypted {
-                            m.push(("encrypted".to_owned(), Value::Bool(e)));
-                        }
-                        Value::Object(m)
-                    })
-                    .collect(),
-            ),
-        ));
-        root.push((
-            "pools".to_owned(),
-            Value::Array(
-                self.pools
-                    .iter()
-                    .map(|p| {
-                        let mut m = vec![("name".to_owned(), string(&p.name))];
-                        if let Some(e) = &p.enclave {
-                            m.push(("enclave".to_owned(), string(e)));
-                        }
-                        m.push(("nodes".to_owned(), num(p.nodes as u64)));
-                        m.push(("payload".to_owned(), num(p.payload as u64)));
-                        Value::Object(m)
-                    })
-                    .collect(),
-            ),
-        ));
-        root.push((
-            "mboxes".to_owned(),
-            Value::Array(
-                self.mboxes
-                    .iter()
-                    .map(|m| {
-                        let mut fields = vec![
-                            ("name".to_owned(), string(&m.name)),
-                            ("pool".to_owned(), string(&m.pool)),
-                            ("capacity".to_owned(), num(m.capacity as u64)),
-                        ];
-                        for (key, role) in
-                            [("producers", &m.producers), ("consumers", &m.consumers)]
-                        {
-                            if let Some(names) = role {
-                                fields.push((
-                                    key.to_owned(),
-                                    Value::Array(names.iter().map(|n| string(n)).collect()),
-                                ));
-                            }
-                        }
-                        Value::Object(fields)
-                    })
-                    .collect(),
-            ),
-        ));
-        Value::Object(root)
+        Ok(DeploymentSpec { doc })
     }
 
     /// Instantiate every actor through `registry` and assemble a
@@ -463,102 +190,102 @@ impl DeploymentSpec {
     ///
     /// # Errors
     ///
-    /// [`SpecError::UnknownKind`], [`SpecError::UnknownName`] or
-    /// [`SpecError::Constructor`]; structural problems (double
-    /// assignment, etc.) surface later from
+    /// [`SpecError::Schema`] for a member of the wrong type or a number
+    /// out of range, [`SpecError::UnknownKind`],
+    /// [`SpecError::UnknownName`] or [`SpecError::Constructor`];
+    /// structural problems (double assignment, etc.) surface later from
     /// [`DeploymentBuilder::build`].
     pub fn into_builder(self, registry: &ActorRegistry) -> Result<DeploymentBuilder, SpecError> {
+        let doc = &self.doc;
         let mut b = DeploymentBuilder::new();
         let mut enclave_slots = HashMap::new();
-        for e in &self.enclaves {
-            let slot = b.enclave_sized(&e.name, e.size_bytes.unwrap_or(DEFAULT_ENCLAVE_BYTES));
-            enclave_slots.insert(e.name.clone(), slot);
+        for e in list(doc, "enclaves")? {
+            let name = req_str(e, "name", "enclave")?;
+            let size = opt_num(e, "size_bytes", "enclave")?.unwrap_or(DEFAULT_ENCLAVE_BYTES);
+            enclave_slots.insert(name, b.enclave_sized(name, size));
         }
-        let mut actor_slots = HashMap::new();
-        for a in &self.actors {
-            let placement = match &a.enclave {
-                None => Placement::Untrusted,
-                Some(name) => Placement::Enclave(*enclave_slots.get(name).ok_or_else(|| {
-                    SpecError::UnknownName {
-                        kind: "enclave",
-                        name: name.clone(),
-                    }
-                })?),
-            };
-            let actor = registry.construct(&a.kind, &a.params)?;
-            let slot = b.actor_boxed(&a.name, placement, actor);
-            actor_slots.insert(a.name.clone(), slot);
-        }
-        let lookup_actor = |name: &str| {
-            actor_slots
+        let region = |v: &Value, what: &str| match opt_str(v, "enclave", what)? {
+            None => Ok(Placement::Untrusted),
+            Some(name) => enclave_slots
                 .get(name)
-                .copied()
+                .map(|slot| Placement::Enclave(*slot))
                 .ok_or_else(|| SpecError::UnknownName {
-                    kind: "actor",
+                    kind: "enclave",
                     name: name.to_owned(),
-                })
+                }),
         };
-        for w in &self.workers {
-            let mut slots = Vec::with_capacity(w.actors.len());
-            for name in &w.actors {
-                slots.push(lookup_actor(name)?);
-            }
-            match w.cpu {
+        let mut actor_slots = HashMap::new();
+        for a in list(doc, "actors")? {
+            let name = req_str(a, "name", "actor")?;
+            let kind = req_str(a, "kind", "actor")?;
+            let placement = region(a, "actor")?;
+            let actor = registry.construct(kind, a.get("params").unwrap_or(&Value::Null))?;
+            actor_slots.insert(name, b.actor_boxed(name, placement, actor));
+        }
+        let lookup_actors = |names: &[&str]| {
+            names
+                .iter()
+                .map(|name| {
+                    actor_slots
+                        .get(name)
+                        .copied()
+                        .ok_or_else(|| SpecError::UnknownName {
+                            kind: "actor",
+                            name: (*name).to_owned(),
+                        })
+                })
+                .collect::<Result<Vec<_>, _>>()
+        };
+        for w in list(doc, "workers")? {
+            let slots = lookup_actors(&opt_str_array(w, "actors", "worker")?.unwrap_or_default())?;
+            match opt_num(w, "cpu", "worker")? {
                 Some(cpu) => b.worker_pinned(&slots, cpu),
                 None => b.worker(&slots),
             };
         }
-        for c in &self.channels {
+        for c in list(doc, "channels")? {
+            let ends = lookup_actors(&[req_str(c, "a", "channel")?, req_str(c, "b", "channel")?])?;
             let defaults = ChannelOptions::default();
             let options = ChannelOptions {
-                nodes: c.nodes.unwrap_or(defaults.nodes),
-                payload: c.payload.unwrap_or(defaults.payload),
-                policy: match c.encrypted {
-                    Some(false) => EncryptionPolicy::NeverEncrypt,
-                    _ => EncryptionPolicy::Auto,
+                nodes: opt_num(c, "nodes", "channel")?.unwrap_or(defaults.nodes),
+                payload: opt_num(c, "payload", "channel")?.unwrap_or(defaults.payload),
+                policy: match c.get("encrypted") {
+                    None | Some(Value::Null) => EncryptionPolicy::Auto,
+                    Some(e) => match e.as_bool() {
+                        Some(false) => EncryptionPolicy::NeverEncrypt,
+                        Some(true) => EncryptionPolicy::Auto,
+                        None => return Err(schema("channel \"encrypted\" must be a boolean")),
+                    },
                 },
             };
-            b.channel_with(lookup_actor(&c.a)?, lookup_actor(&c.b)?, options);
+            b.channel_with(ends[0], ends[1], options);
         }
-        for p in &self.pools {
-            let region = match &p.enclave {
-                None => Placement::Untrusted,
-                Some(name) => Placement::Enclave(*enclave_slots.get(name).ok_or_else(|| {
-                    SpecError::UnknownName {
-                        kind: "enclave",
-                        name: name.clone(),
-                    }
-                })?),
+        for p in list(doc, "pools")? {
+            b.pool(
+                req_str(p, "name", "pool")?,
+                region(p, "pool")?,
+                req_num(p, "nodes", "pool")?,
+                req_num(p, "payload", "pool")?,
+            );
+        }
+        for m in list(doc, "mboxes")? {
+            let name = req_str(m, "name", "mbox")?;
+            let pool = req_str(m, "pool", "mbox")?;
+            let capacity = req_num(m, "capacity", "mbox")?;
+            // An absent role is "undeclared"; a present one, even empty,
+            // is a declaration. Names resolve either way, so typos fail
+            // loudly, but only a mbox with both roles declared leaves
+            // the open MPMC protocol.
+            let producers = opt_str_array(m, "producers", "mbox")?
+                .map(|names| lookup_actors(&names))
+                .transpose()?;
+            let consumers = opt_str_array(m, "consumers", "mbox")?
+                .map(|names| lookup_actors(&names))
+                .transpose()?;
+            match (producers, consumers) {
+                (Some(p), Some(c)) => b.mbox_bound(name, pool, capacity, &p, &c),
+                _ => b.mbox(name, pool, capacity),
             };
-            b.pool(&p.name, region, p.nodes, p.payload);
-        }
-        for m in &self.mboxes {
-            match (&m.producers, &m.consumers) {
-                (Some(p), Some(c)) => {
-                    let producers = p
-                        .iter()
-                        .map(|n| lookup_actor(n))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let consumers = c
-                        .iter()
-                        .map(|n| lookup_actor(n))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    b.mbox_bound(&m.name, &m.pool, m.capacity, &producers, &consumers);
-                }
-                _ => {
-                    // Partial declarations still resolve names (so typos
-                    // fail loudly) but keep the open MPMC protocol.
-                    for n in m
-                        .producers
-                        .iter()
-                        .flatten()
-                        .chain(m.consumers.iter().flatten())
-                    {
-                        lookup_actor(n)?;
-                    }
-                    b.mbox(&m.name, &m.pool, m.capacity);
-                }
-            }
         }
         Ok(b)
     }
@@ -568,73 +295,68 @@ fn schema(message: &str) -> SpecError {
     SpecError::Schema(message.to_owned())
 }
 
-/// Read an optional array member of `doc`, mapping each element.
-fn list<T>(
-    doc: &Value,
-    key: &str,
-    f: impl Fn(&Value) -> Result<T, SpecError>,
-) -> Result<Vec<T>, SpecError> {
+/// The elements of an optional array member of `doc`.
+fn list<'a>(doc: &'a Value, key: &str) -> Result<&'a [Value], SpecError> {
     match doc.get(key) {
-        None | Some(Value::Null) => Ok(Vec::new()),
+        None | Some(Value::Null) => Ok(&[]),
         Some(v) => v
             .as_array()
-            .ok_or_else(|| schema(&format!("\"{key}\" must be an array")))?
-            .iter()
-            .map(f)
-            .collect(),
+            .ok_or_else(|| schema(&format!("\"{key}\" must be an array"))),
     }
 }
 
-fn req_str(v: &Value, key: &str, what: &str) -> Result<String, SpecError> {
+fn req_str<'a>(v: &'a Value, key: &str, what: &str) -> Result<&'a str, SpecError> {
     opt_str(v, key, what)?.ok_or_else(|| schema(&format!("{what} is missing \"{key}\"")))
 }
 
-fn opt_str(v: &Value, key: &str, what: &str) -> Result<Option<String>, SpecError> {
+fn opt_str<'a>(v: &'a Value, key: &str, what: &str) -> Result<Option<&'a str>, SpecError> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
         Some(s) => s
             .as_str()
-            .map(|s| Some(s.to_owned()))
+            .map(Some)
             .ok_or_else(|| schema(&format!("{what} \"{key}\" must be a string"))),
     }
 }
 
-fn str_array(v: &Value, key: &str, what: &str) -> Result<Vec<String>, SpecError> {
+/// An optional array of strings: `None` when the member is absent.
+fn opt_str_array<'a>(
+    v: &'a Value,
+    key: &str,
+    what: &str,
+) -> Result<Option<Vec<&'a str>>, SpecError> {
     match v.get(key) {
-        None | Some(Value::Null) => Ok(Vec::new()),
+        None | Some(Value::Null) => Ok(None),
         Some(a) => a
             .as_array()
             .ok_or_else(|| schema(&format!("{what} \"{key}\" must be an array")))?
             .iter()
             .map(|s| {
                 s.as_str()
-                    .map(str::to_owned)
                     .ok_or_else(|| schema(&format!("{what} \"{key}\" must contain strings")))
             })
-            .collect(),
+            .collect::<Result<_, _>>()
+            .map(Some),
     }
 }
 
-/// Like [`str_array`] but distinguishes an absent member (`None`,
-/// meaning "role undeclared") from a present, possibly empty array.
-fn opt_str_array(v: &Value, key: &str, what: &str) -> Result<Option<Vec<String>>, SpecError> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(_) => str_array(v, key, what).map(Some),
-    }
+fn req_num<T: TryFrom<u64>>(v: &Value, key: &str, what: &str) -> Result<T, SpecError> {
+    opt_num(v, key, what)?.ok_or_else(|| schema(&format!("{what} is missing \"{key}\"")))
 }
 
-fn req_u64(v: &Value, key: &str, what: &str) -> Result<u64, SpecError> {
-    opt_u64(v, key, what)?.ok_or_else(|| schema(&format!("{what} is missing \"{key}\"")))
-}
-
-fn opt_u64(v: &Value, key: &str, what: &str) -> Result<Option<u64>, SpecError> {
+/// An optional non-negative integer that must fit the builder's type
+/// for it: a value the target cannot hold is rejected, never truncated.
+fn opt_num<T: TryFrom<u64>>(v: &Value, key: &str, what: &str) -> Result<Option<T>, SpecError> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
-        Some(n) => n
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| schema(&format!("{what} \"{key}\" must be a non-negative integer"))),
+        Some(n) => {
+            let n = n.as_u64().ok_or_else(|| {
+                schema(&format!("{what} \"{key}\" must be a non-negative integer"))
+            })?;
+            T::try_from(n)
+                .map(Some)
+                .map_err(|_| schema(&format!("{what} \"{key}\" is out of range: {n}")))
+        }
     }
 }
 
@@ -663,50 +385,39 @@ mod tests {
         r
     }
 
+    const FULL: &str = r#"{
+        "enclaves": [{"name": "e", "size_bytes": 65536}],
+        "actors": [
+            {"name": "a", "kind": "idle", "enclave": "e"},
+            {"name": "b", "kind": "picky", "params": {"ok": true}}
+        ],
+        "workers": [{"actors": ["a"], "cpu": 1}, {"actors": ["b"]}],
+        "channels": [{"a": "a", "b": "b", "nodes": 8, "payload": 128, "encrypted": false}],
+        "pools": [{"name": "p", "nodes": 8, "payload": 64}],
+        "mboxes": [
+            {"name": "m", "pool": "p", "capacity": 8},
+            {"name": "m2", "pool": "p", "capacity": 8, "producers": ["a"], "consumers": ["b"]}
+        ]
+    }"#;
+
     #[test]
-    fn json_round_trip() {
-        let spec = DeploymentSpec {
-            enclaves: vec![EnclaveSpec {
-                name: "e".into(),
-                size_bytes: Some(1024),
-            }],
-            actors: vec![ActorSpec {
-                name: "a".into(),
-                kind: "idle".into(),
-                enclave: Some("e".into()),
-                params: Value::Null,
-            }],
-            workers: vec![WorkerSpec {
-                actors: vec!["a".into()],
-                cpu: Some(2),
-            }],
-            channels: vec![],
-            pools: vec![PoolSpec {
-                name: "p".into(),
-                enclave: None,
-                nodes: 8,
-                payload: 64,
-            }],
-            mboxes: vec![
-                MboxSpec {
-                    name: "m".into(),
-                    pool: "p".into(),
-                    capacity: 8,
-                    producers: None,
-                    consumers: None,
-                },
-                MboxSpec {
-                    name: "m2".into(),
-                    pool: "p".into(),
-                    capacity: 8,
-                    producers: Some(vec!["a".into()]),
-                    consumers: Some(vec!["a".into()]),
-                },
-            ],
+    fn the_same_document_builds_the_same_deployment() {
+        use crate::arena::MboxKind::{Mpmc, Spsc};
+        let shape = || {
+            let d = DeploymentSpec::from_json(FULL)
+                .unwrap()
+                .into_builder(&registry())
+                .unwrap()
+                .build()
+                .unwrap();
+            (
+                d.actor_count(),
+                d.worker_count(),
+                d.plan().mbox_kinds().to_vec(),
+            )
         };
-        let json = spec.to_json();
-        let parsed = DeploymentSpec::from_json(&json).unwrap();
-        assert_eq!(parsed, spec);
+        assert_eq!(shape(), (2, 2, vec![Mpmc, Spsc]));
+        assert_eq!(shape(), shape());
     }
 
     #[test]
@@ -761,6 +472,38 @@ mod tests {
             DeploymentSpec::from_json("{nope"),
             Err(SpecError::Parse(_))
         ));
+        assert!(matches!(
+            DeploymentSpec::from_json("[]"),
+            Err(SpecError::Schema(_))
+        ));
+        // Numbers are range-checked against the builder's type for the
+        // field, never truncated into it.
+        for (doc, field) in [
+            (
+                r#"{"pools": [{"name": "p", "nodes": 4294967297, "payload": 64}]}"#,
+                "nodes",
+            ),
+            (
+                r#"{"actors": [{"name": "x", "kind": "idle"}, {"name": "y", "kind": "idle"}],
+                    "channels": [{"a": "x", "b": "y", "nodes": 4294967296}]}"#,
+                "nodes",
+            ),
+            (
+                r#"{"pools": [{"name": "p", "nodes": 8, "payload": -1}]}"#,
+                "payload",
+            ),
+            (
+                r#"{"pools": [{"name": "p", "nodes": 8, "payload": 64}],
+                    "mboxes": [{"name": "m", "pool": "p", "capacity": 1.5}]}"#,
+                "capacity",
+            ),
+        ] {
+            let spec = DeploymentSpec::from_json(doc).unwrap();
+            match spec.into_builder(&registry()) {
+                Err(SpecError::Schema(msg)) => assert!(msg.contains(field), "{msg}"),
+                other => panic!("{doc}: expected a schema error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -88,7 +88,7 @@ fn pace(ctx: &mut Ctx, retried: bool) {
 /// Flush `ring`'s pending submissions and reap posted completions into
 /// `out` without blocking. Returns whether anything completed.
 fn reap_now(ring: &mut dyn CompletionRing, out: &mut Vec<Completion>) -> bool {
-    matches!(ring.reap(out, Some(Duration::ZERO)), Ok(n) if n > 0)
+    matches!(ring.reap(out), Ok(n) if n > 0)
 }
 
 /// The typed port all networking traffic flows through: a

@@ -12,9 +12,10 @@
 //! (real loopback sockets) — and differs only in what sits beneath the
 //! ring: an io_uring instance, or the plain operations retried by the
 //! adapter in `ops_ring.rs`, on every reap or when an `epoll` edge fires.
+//! No call in either half waits: a ring is reaped by an actor body, and
+//! the waiting belongs to the body's worker ([`CompletionRing::wait_fd`]).
 
 use std::fmt;
-use std::time::Duration;
 
 use eactors::arena::Node;
 use eactors::obs::MetricsRegistry;
@@ -287,25 +288,18 @@ pub trait CompletionRing: Send + fmt::Debug {
     ) -> Result<(), (NetError, Node)>;
 
     /// Flush pending submissions and reap finished completions into
-    /// `out` (appended). Returns how many completions were appended. A
-    /// ring with a [`CompletionRing::wait_fd`] blocks up to `timeout`
-    /// when it is not zero and nothing has completed yet (`None` blocks
-    /// until something does); a ring without one has nothing to block
-    /// on and returns at once. The system actors only ever pass a zero
-    /// timeout — an actor body must not block; their worker does the
-    /// waiting.
+    /// `out` (appended). Returns how many completions were appended —
+    /// possibly none: a reap never blocks. An actor body calls it, and
+    /// a body must not wait; the consumer's worker does the waiting, on
+    /// [`CompletionRing::wait_fd`] or a timer.
     ///
     /// # Errors
     ///
     /// [`NetError::Io`] on ring failure, [`NetError::TrustedDomain`]
     /// from enclave code.
-    fn reap(
-        &mut self,
-        out: &mut Vec<Completion>,
-        timeout: Option<Duration>,
-    ) -> Result<usize, NetError>;
+    fn reap(&mut self, out: &mut Vec<Completion>) -> Result<usize, NetError>;
 
-    /// A pollable descriptor that reads ready while a zero-timeout
+    /// A pollable descriptor that reads ready while a
     /// [`CompletionRing::reap`] would return completions (the io_uring
     /// or epoll instance itself). The consumer declares it with
     /// [`eactors::actor::Ctx::watch_fd`] so its worker's park ends when
@@ -316,8 +310,7 @@ pub trait CompletionRing: Send + fmt::Debug {
 
     /// Bind the ring's counters, if it keeps any, into `registry` (the
     /// io_uring ring: `net_sqe_submitted`, `net_cqe_reaped`,
-    /// `net_enter_syscalls`, `net_fixed_reads` and the `net_uring_batch`
-    /// histogram). Rings of one deployment share the named atomics.
+    /// `net_enter_syscalls` and the `net_uring_batch` histogram). Rings of one deployment share the named atomics.
     fn bind_obs(&mut self, _registry: &MetricsRegistry) {}
 }
 

@@ -22,7 +22,6 @@ use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
-use std::time::Duration;
 
 use sgx_sim::CostHandle;
 
@@ -145,14 +144,10 @@ impl Edges for EpollEdges {
         }
     }
 
-    fn harvest(
-        &mut self,
-        fired: &mut Vec<Edge>,
-        timeout: Option<Duration>,
-    ) -> Result<(), NetError> {
+    fn harvest(&mut self, fired: &mut Vec<Edge>) -> Result<(), NetError> {
         self.table.syscall()?;
         let mut raw = [ffi::EpollEvent::zeroed(); WAIT_BATCH];
-        let n = ffi::epoll_wait_into(&self.epfd, &mut raw, timeout)?;
+        let n = ffi::epoll_wait_into(&self.epfd, &mut raw)?;
         fired.extend(raw[..n].iter().map(|ev| {
             let (mask, data) = (ev.events, ev.data);
             let dead = mask & (ffi::EPOLLHUP | ffi::EPOLLERR) != 0;

@@ -20,7 +20,6 @@
 
 use std::io;
 use std::os::unix::io::RawFd;
-use std::time::Duration;
 
 // x86_64 is the one Linux ABI where epoll_event is packed (no padding
 // between the u32 mask and the u64 data); everywhere else it is a
@@ -126,22 +125,12 @@ pub fn epoll_del(epfd: &OwnedFd, fd: RawFd) {
     let _ = unsafe { epoll_ctl(epfd.raw(), EPOLL_CTL_DEL, fd, &mut ev) };
 }
 
-/// Wait up to `timeout` for events (`None` blocks indefinitely).
-/// Returns how many entries of `events` were filled; `EINTR` is
-/// reported as `Ok(0)`.
-pub fn epoll_wait_into(
-    epfd: &OwnedFd,
-    events: &mut [EpollEvent],
-    timeout: Option<Duration>,
-) -> io::Result<usize> {
-    let timeout_ms = match timeout {
-        Some(t) if t.is_zero() => 0,
-        // Round sub-millisecond requests up so they actually sleep.
-        Some(t) => i32::try_from(t.as_millis().max(1)).unwrap_or(i32::MAX),
-        None => -1,
-    };
+/// Collect the events already pending, waiting for none (a zero
+/// `epoll_wait` timeout). Returns how many entries of `events` were
+/// filled; `EINTR` is reported as `Ok(0)`.
+pub fn epoll_wait_into(epfd: &OwnedFd, events: &mut [EpollEvent]) -> io::Result<usize> {
     let max = i32::try_from(events.len()).unwrap_or(i32::MAX);
-    let ret = unsafe { epoll_wait(epfd.raw(), events.as_mut_ptr(), max, timeout_ms) };
+    let ret = unsafe { epoll_wait(epfd.raw(), events.as_mut_ptr(), max, 0) };
     match cvt(ret) {
         Ok(n) => Ok(n as usize),
         Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
@@ -183,17 +172,17 @@ mod tests {
         epoll_add(&ep, rx.as_raw_fd(), EPOLLIN, 7).expect("epoll_ctl ADD");
 
         let mut buf = [EpollEvent::zeroed(); 4];
-        let n = epoll_wait_into(&ep, &mut buf, Some(Duration::from_millis(1))).unwrap();
+        let n = epoll_wait_into(&ep, &mut buf).unwrap();
         assert_eq!(n, 0, "nothing written, not readable");
 
         tx.write_all(b"x").unwrap();
-        let n = epoll_wait_into(&ep, &mut buf, Some(Duration::from_millis(100))).unwrap();
+        let n = epoll_wait_into(&ep, &mut buf).unwrap();
         assert_eq!(n, 1);
         let data = buf[0].data;
         assert_eq!(data, 7);
 
         rx.read_exact(&mut [0u8; 1]).unwrap();
-        let n = epoll_wait_into(&ep, &mut buf, Some(Duration::from_millis(1))).unwrap();
+        let n = epoll_wait_into(&ep, &mut buf).unwrap();
         assert_eq!(n, 0, "drained, quiet again");
     }
 

@@ -25,7 +25,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::time::Duration;
 
 use eactors::arena::Node;
 
@@ -64,10 +63,9 @@ pub(crate) trait Edges: Send + fmt::Debug {
     /// Stop collecting edges of `source` and let go of it.
     fn forget(&mut self, source: Source);
 
-    /// Append the edges that fired since the last call, waiting up to
-    /// `timeout` for the first one (`None`: until there is one).
-    fn harvest(&mut self, fired: &mut Vec<Edge>, timeout: Option<Duration>)
-        -> Result<(), NetError>;
+    /// Append the edges that fired since the last call, waiting for
+    /// none.
+    fn harvest(&mut self, fired: &mut Vec<Edge>) -> Result<(), NetError>;
 
     /// A descriptor that polls readable while a harvest would find
     /// edges.
@@ -310,24 +308,13 @@ impl<N: NetBackend> CompletionRing for OpsRing<N> {
         self.submit(socket.0, true, node, offset)
     }
 
-    fn reap(
-        &mut self,
-        out: &mut Vec<Completion>,
-        timeout: Option<Duration>,
-    ) -> Result<usize, NetError> {
+    fn reap(&mut self, out: &mut Vec<Completion>) -> Result<usize, NetError> {
         untrusted()?;
         let before = out.len();
         out.append(&mut self.done);
         self.fired.clear();
         match self.edges.as_deref_mut() {
-            Some(edges) => {
-                let wait = if out.len() > before {
-                    Some(Duration::ZERO)
-                } else {
-                    timeout
-                };
-                edges.harvest(&mut self.fired, wait)?;
-            }
+            Some(edges) => edges.harvest(&mut self.fired)?,
             None => {
                 let all = |source, write: bool| Edge {
                     source,

@@ -25,23 +25,13 @@
 //! contract. The table's `close` `shutdown(2)`s the socket, so pinned
 //! in-flight operations complete (EOF / `EPIPE`) instead of idling
 //! forever on a half-dead fd.
-//!
-//! # Fixed buffers
-//!
-//! The first arena a receive is submitted from gets its whole payload
-//! slab registered as fixed buffer 0 ([`IORING_OP_READ_FIXED`] skips
-//! per-op page pinning). Nodes from other arenas — or kernels that
-//! refuse the registration — fall back to plain `recv` transparently.
-//!
-//! [`IORING_OP_READ_FIXED`]: crate::uring_ffi::IORING_OP_READ_FIXED
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, FromRawFd};
 use std::sync::Arc;
-use std::time::Duration;
 
-use eactors::arena::{Arena, Node};
+use eactors::arena::Node;
 use eactors::obs::{Counter, Log2Hist, MetricsRegistry};
 use sgx_sim::CostHandle;
 
@@ -68,7 +58,6 @@ const K_CANCEL: u64 = 4 << K_SHIFT;
 const EINTR: i32 = 4;
 const EAGAIN: i32 = 11;
 const EINVAL: i32 = 22;
-const EOPNOTSUPP: i32 = 95;
 const ECONNABORTED: i32 = 103;
 const ECANCELED: i32 = 125;
 
@@ -144,9 +133,6 @@ loopback_backend!(UringBackend, |net| {
 struct InflightRecv {
     node: Node,
     offset: usize,
-    /// Whether the SQE went out as `READ_FIXED` (for the runtime
-    /// fallback when the kernel rejects fixed reads on sockets).
-    fixed: bool,
     _stream: Arc<TcpStream>,
 }
 
@@ -171,17 +157,6 @@ struct AcceptWatch {
     cancelled: bool,
 }
 
-/// Fixed-buffer registration state (one arena slab, buffer index 0).
-#[derive(Debug)]
-enum FixedBufs {
-    /// No receive submitted yet.
-    Unregistered,
-    /// This arena's payload slab is registered as buffer 0.
-    Registered(Arc<Arena>),
-    /// Registration (or a fixed read) failed; plain `recv` from now on.
-    Unavailable,
-}
-
 /// One consumer's io_uring instance (see module docs).
 #[derive(Debug)]
 struct UringRing {
@@ -193,11 +168,9 @@ struct UringRing {
     /// SQEs that did not fit the SQ even after a flush (kernel EAGAIN);
     /// drained FIFO so kernel-observed submission order is preserved.
     backlog: VecDeque<IoUringSqe>,
-    fixed: FixedBufs,
     sqe_submitted: Arc<Counter>,
     cqe_reaped: Arc<Counter>,
     enter_syscalls: Arc<Counter>,
-    fixed_reads: Arc<Counter>,
     batch_hist: Arc<Log2Hist>,
 }
 
@@ -211,11 +184,9 @@ impl UringRing {
             sends: HashMap::new(),
             accepts: HashMap::new(),
             backlog: VecDeque::new(),
-            fixed: FixedBufs::Unregistered,
             sqe_submitted: Arc::new(Counter::new()),
             cqe_reaped: Arc::new(Counter::new()),
             enter_syscalls: Arc::new(Counter::new()),
-            fixed_reads: Arc::new(Counter::new()),
             batch_hist: Arc::new(Log2Hist::new()),
         })
     }
@@ -238,7 +209,7 @@ impl UringRing {
                 self.backlog.pop_front();
                 continue;
             }
-            match self.enter(0, None) {
+            match self.enter() {
                 Ok(0) | Err(_) => return, // kernel EAGAIN/EBUSY or a ring error; the next reap retries
                 Ok(_) => {}
             }
@@ -248,30 +219,12 @@ impl UringRing {
     /// The one place this ring enters the kernel: every
     /// `io_uring_enter` is charged as a syscall and counted, and nothing
     /// else is.
-    fn enter(&mut self, min_complete: u32, timeout: Option<Duration>) -> std::io::Result<u32> {
+    fn enter(&mut self) -> std::io::Result<u32> {
         self.table.charge_syscall();
         self.enter_syscalls.inc();
-        let consumed = self.ring.enter(min_complete, timeout)?;
+        let consumed = self.ring.enter()?;
         self.sqe_submitted.add(u64::from(consumed));
         Ok(consumed)
-    }
-
-    /// Register the node's arena as fixed buffer 0 on first use.
-    fn maybe_register(&mut self, node: &Node) {
-        if matches!(self.fixed, FixedBufs::Unregistered) {
-            let arena = node.arena().clone();
-            let (base, len) = arena.payload_region();
-            self.fixed = match self.ring.register_buffers(&[(base, len)]) {
-                // The Arc pins the slab for the ring's lifetime — the
-                // registered memory can never outlive its mapping.
-                Ok(()) => FixedBufs::Registered(arena),
-                Err(_) => FixedBufs::Unavailable,
-            };
-        }
-    }
-
-    fn is_fixed(&self, node: &Node) -> bool {
-        matches!(&self.fixed, FixedBufs::Registered(a) if Arc::ptr_eq(a, node.arena()))
     }
 
     /// (Re-)arm the accept submission for `id` using the watch's current
@@ -289,7 +242,7 @@ impl UringRing {
     }
 
     /// Build the receive SQE for an in-flight entry (initial submission
-    /// and the fixed→plain retry path share it).
+    /// and the `EINTR`/`EAGAIN` resubmission share it).
     fn recv_sqe(&mut self, id: u64) -> IoUringSqe {
         let fl = self.recvs.get_mut(&id).expect("in-flight recv exists");
         let size = fl.node.arena().payload_size();
@@ -299,13 +252,7 @@ impl UringRing {
             ptr: unsafe { fl.node.buffer_mut().as_mut_ptr().add(fl.offset) },
             len: (size - fl.offset) as u32,
         };
-        let fd = fl._stream.as_raw_fd();
-        if fl.fixed {
-            self.fixed_reads.inc();
-            IoUringSqe::read_fixed(fd, buf, 0, K_RECV | id)
-        } else {
-            IoUringSqe::recv(fd, buf, K_RECV | id)
-        }
+        IoUringSqe::recv(fl._stream.as_raw_fd(), buf, K_RECV | id)
     }
 
     /// Build the (re)send SQE for an in-flight entry at its current
@@ -348,16 +295,7 @@ impl UringRing {
     }
 
     fn on_recv_cqe(&mut self, id: u64, cqe: IoUringCqe, out: &mut Vec<Completion>) {
-        let Some(fl) = self.recvs.get_mut(&id) else {
-            return;
-        };
-        if cqe.res < 0 && fl.fixed && matches!(-cqe.res, EINVAL | EOPNOTSUPP) {
-            // This kernel rejects fixed reads on sockets: disable them
-            // ring-wide and retry this receive as a plain recv.
-            fl.fixed = false;
-            self.fixed = FixedBufs::Unavailable;
-            let sqe = self.recv_sqe(id);
-            self.queue_sqe(sqe);
+        if !self.recvs.contains_key(&id) {
             return;
         }
         if cqe.res < 0 && matches!(-cqe.res, EINTR | EAGAIN) {
@@ -514,14 +452,11 @@ impl CompletionRing for UringRing {
             Ok(s) => s,
             Err(e) => return Err((e, node)),
         };
-        self.maybe_register(&node);
-        let fixed = self.is_fixed(&node);
         self.recvs.insert(
             socket.0,
             InflightRecv {
                 node,
                 offset,
-                fixed,
                 _stream: stream,
             },
         );
@@ -571,23 +506,16 @@ impl CompletionRing for UringRing {
         Ok(())
     }
 
-    fn reap(
-        &mut self,
-        out: &mut Vec<Completion>,
-        timeout: Option<Duration>,
-    ) -> Result<usize, NetError> {
+    fn reap(&mut self, out: &mut Vec<Completion>) -> Result<usize, NetError> {
         untrusted()?;
         self.pump_backlog();
         let before = out.len();
         // Phase 1: already-posted completions — zero syscalls.
         let mut raw = self.drain_cq(out);
-        // Phase 2: at most one enter — flushing pending submissions,
-        // blocking only when nothing has completed yet and the caller
-        // asked to wait.
-        let want_wait = out.len() == before && raw == 0 && timeout.map_or(true, |t| !t.is_zero());
-        if self.ring.pending_submissions() > 0 || want_wait || self.ring.cq_overflowed() {
-            let (min, to) = if want_wait { (1, timeout) } else { (0, None) };
-            self.enter(min, to).map_err(NetError::Io)?;
+        // Phase 2: at most one enter, and only when it has something to
+        // do — submissions to flush or overflowed CQEs to fetch.
+        if self.ring.pending_submissions() > 0 || self.ring.cq_overflowed() {
+            self.enter().map_err(NetError::Io)?;
             raw += self.drain_cq(out);
         }
         if raw > 0 {
@@ -609,7 +537,6 @@ impl CompletionRing for UringRing {
         self.cqe_reaped = registry.register_counter("net_cqe_reaped", self.cqe_reaped.clone());
         self.enter_syscalls =
             registry.register_counter("net_enter_syscalls", self.enter_syscalls.clone());
-        self.fixed_reads = registry.register_counter("net_fixed_reads", self.fixed_reads.clone());
         self.batch_hist = registry.hist("net_uring_batch");
     }
 }

@@ -42,11 +42,12 @@
 //!   `crate::uring`) that each buffer outlives its operation. The
 //!   backend pins every in-flight buffer (arena nodes held in maps,
 //!   `Arc<TcpStream>` handles) until its CQE is reaped.
-//! - `EINTR` never escapes: [`Ring::enter`] retries interrupted calls.
+//! - [`Ring::enter`] never waits: it hands the kernel what was published
+//!   and returns. Waiting for completions is the worker's business (it
+//!   polls [`Ring::raw_fd`]), never the ring's.
 
 use std::io;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
 
 use crate::ffi::OwnedFd;
 
@@ -67,20 +68,16 @@ const IORING_OFF_SQES: i64 = 0x1000_0000;
 pub const IORING_FEAT_SINGLE_MMAP: u32 = 1 << 0;
 /// CQEs are never silently dropped on CQ overflow (kernel ≥ 5.5).
 pub const IORING_FEAT_NODROP: u32 = 1 << 1;
-/// `io_uring_enter` accepts a timeout through `EXT_ARG` (kernel ≥ 5.11).
-pub const IORING_FEAT_EXT_ARG: u32 = 1 << 8;
 
 // io_uring_enter flags.
 const IORING_ENTER_GETEVENTS: u32 = 1 << 0;
-const IORING_ENTER_EXT_ARG: u32 = 1 << 3;
 
 // io_uring_register opcodes.
-const IORING_REGISTER_BUFFERS: u32 = 0;
 const IORING_REGISTER_PROBE: u32 = 8;
 
 // SQ ring flags (read back through sq_off.flags).
 /// The CQ ring overflowed and the kernel holds back-logged CQEs; an
-/// `io_uring_enter(GETEVENTS)` flushes them.
+/// `io_uring_enter` flushes them.
 pub const IORING_SQ_CQ_OVERFLOW: u32 = 1 << 1;
 
 // CQE flags.
@@ -92,8 +89,6 @@ pub const IORING_CQE_F_MORE: u32 = 1 << 1;
 /// No-op, completes immediately (tests, ring liveness).
 #[cfg_attr(not(test), allow(dead_code))]
 pub const IORING_OP_NOP: u8 = 0;
-/// `read(2)` into a registered fixed buffer.
-pub const IORING_OP_READ_FIXED: u8 = 4;
 /// `accept4(2)` (multishot-capable since 5.19).
 pub const IORING_OP_ACCEPT: u8 = 13;
 /// Cancel a previously submitted operation by `user_data`.
@@ -118,7 +113,6 @@ const MAP_POPULATE: i32 = 0x8000;
 const EINTR: i32 = 4;
 const EAGAIN: i32 = 11;
 const EBUSY: i32 = 16;
-const ETIME: i32 = 62;
 
 #[repr(C)]
 #[derive(Debug, Clone, Copy, Default)]
@@ -250,20 +244,6 @@ impl IoUringSqe {
         }
     }
 
-    /// `read` into registered buffer `buf_index` — the fixed-buffer
-    /// receive path (the kernel skips per-op page pinning).
-    pub fn read_fixed(fd: i32, buf: SqeBuf, buf_index: u16, user_data: u64) -> Self {
-        IoUringSqe {
-            opcode: IORING_OP_READ_FIXED,
-            fd,
-            addr: buf.ptr as u64,
-            len: buf.len,
-            buf_index,
-            user_data,
-            ..Self::zeroed()
-        }
-    }
-
     /// `send(fd, buf, len, MSG_NOSIGNAL)` — no `SIGPIPE` on a dead peer.
     pub fn send(fd: i32, buf: SqeBuf, user_data: u64) -> Self {
         IoUringSqe {
@@ -323,29 +303,6 @@ pub struct IoUringCqe {
     pub res: i32,
     /// CQE flags ([`IORING_CQE_F_MORE`] and friends).
     pub flags: u32,
-}
-
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-struct GeteventsArg {
-    sigmask: u64,
-    sigmask_sz: u32,
-    pad: u32,
-    ts: u64,
-}
-
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-struct Timespec64 {
-    tv_sec: i64,
-    tv_nsec: i64,
-}
-
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-struct Iovec {
-    base: u64,
-    len: u64,
 }
 
 #[repr(C)]
@@ -594,51 +551,24 @@ impl Ring {
         true
     }
 
-    /// One `io_uring_enter(2)`: submit every published SQE and, when
-    /// `min_complete > 0` or a timeout is given, wait for completions.
-    /// Returns the number of SQEs the kernel consumed. Timeout expiry
-    /// and wake-ups report `Ok` (possibly 0); `EINTR` is retried;
-    /// `EAGAIN`/`EBUSY` (kernel out of internal resources) report `Ok`
-    /// with the unconsumed SQEs still queued for the next call.
-    pub fn enter(&mut self, min_complete: u32, timeout: Option<Duration>) -> io::Result<u32> {
-        let mut flags = 0u32;
-        if min_complete > 0 || timeout.is_some() {
-            flags |= IORING_ENTER_GETEVENTS;
-        }
-        // EXT_ARG wants the timespec alive across the call; keep both on
-        // this frame.
-        let ts;
-        let arg;
-        let (argp, argsz) = match timeout {
-            Some(t) => {
-                flags |= IORING_ENTER_EXT_ARG;
-                ts = Timespec64 {
-                    tv_sec: i64::try_from(t.as_secs()).unwrap_or(i64::MAX),
-                    tv_nsec: i64::from(t.subsec_nanos()),
-                };
-                arg = GeteventsArg {
-                    sigmask: 0,
-                    sigmask_sz: 0,
-                    pad: 0,
-                    ts: std::ptr::addr_of!(ts) as u64,
-                };
-                (
-                    std::ptr::addr_of!(arg) as usize,
-                    std::mem::size_of::<GeteventsArg>(),
-                )
-            }
-            None => (0, 0),
-        };
+    /// One `io_uring_enter(2)`: submit every published SQE and fetch
+    /// what is already complete (`GETEVENTS` with `min_complete == 0`
+    /// moves overflowed CQEs into the ring and waits for nothing).
+    /// Returns the number of SQEs the kernel consumed. `EINTR` is
+    /// retried; `EAGAIN`/`EBUSY` (kernel out of internal resources)
+    /// report `Ok(0)` with the unconsumed SQEs still queued for the next
+    /// call.
+    pub fn enter(&mut self) -> io::Result<u32> {
         loop {
             let ret = unsafe {
                 syscall(
                     SYS_IO_URING_ENTER,
                     self.fd.raw() as usize,
                     self.to_submit as usize,
-                    min_complete as usize,
-                    flags as usize,
-                    argp,
-                    argsz,
+                    0usize,
+                    IORING_ENTER_GETEVENTS as usize,
+                    0usize,
+                    0usize,
                 )
             };
             if ret >= 0 {
@@ -648,10 +578,8 @@ impl Ring {
             }
             let err = io::Error::last_os_error();
             match err.raw_os_error() {
-                // A retried wait restarts its timeout — acceptable, the
-                // callers' timeouts are park caps, not deadlines.
                 Some(EINTR) => continue,
-                Some(ETIME) | Some(EAGAIN) | Some(EBUSY) => return Ok(0),
+                Some(EAGAIN) | Some(EBUSY) => return Ok(0),
                 _ => return Err(err),
             }
         }
@@ -674,45 +602,11 @@ impl Ring {
     }
 
     /// Whether the kernel holds back-logged CQEs after a CQ overflow
-    /// (`NODROP` kernels park them internally; a `GETEVENTS` enter
-    /// flushes them into the ring).
+    /// (`NODROP` kernels park them internally; an enter flushes them
+    /// into the ring).
     pub fn cq_overflowed(&self) -> bool {
         let flags = unsafe { &*self.sq.flags }.load(Ordering::Acquire);
         flags & IORING_SQ_CQ_OVERFLOW != 0
-    }
-
-    /// Register `regions` as fixed I/O buffers (index = position),
-    /// enabling [`IoUringSqe::read_fixed`].
-    ///
-    /// # Errors
-    ///
-    /// `ENOMEM`/`EFAULT` under mlock limits, `EINVAL` on old kernels —
-    /// callers fall back to plain [`IoUringSqe::recv`].
-    ///
-    /// # Safety
-    ///
-    /// Wrapped safely here because the caller contract lives at a higher
-    /// level: each region must stay mapped for the ring's lifetime (the
-    /// backend registers arena slabs, which are immortal relative to the
-    /// ring — see `crate::uring`).
-    pub fn register_buffers(&self, regions: &[(*const u8, usize)]) -> io::Result<()> {
-        let iovecs: Vec<Iovec> = regions
-            .iter()
-            .map(|&(ptr, len)| Iovec {
-                base: ptr as u64,
-                len: len as u64,
-            })
-            .collect();
-        cvt(unsafe {
-            syscall(
-                SYS_IO_URING_REGISTER,
-                self.fd.raw() as usize,
-                IORING_REGISTER_BUFFERS as usize,
-                iovecs.as_ptr() as usize,
-                iovecs.len(),
-            )
-        })
-        .map(|_| ())
     }
 
     /// Whether the kernel supports every opcode in `ops`
@@ -766,11 +660,6 @@ pub fn probe() -> Result<(), String> {
     let kernel = kernel_release();
     let ring =
         Ring::new(8).map_err(|e| format!("io_uring_setup failed on kernel {kernel}: {e}"))?;
-    if ring.features() & IORING_FEAT_EXT_ARG == 0 {
-        return Err(format!(
-            "kernel {kernel} lacks IORING_FEAT_EXT_ARG (need >= 5.11)"
-        ));
-    }
     if ring.features() & IORING_FEAT_NODROP == 0 {
         return Err(format!("kernel {kernel} lacks IORING_FEAT_NODROP"));
     }
@@ -810,7 +699,7 @@ mod tests {
         };
         assert!(ring.push(&IoUringSqe::nop(77)));
         assert_eq!(ring.pending_submissions(), 1);
-        let consumed = ring.enter(1, Some(Duration::from_secs(2))).unwrap();
+        let consumed = ring.enter().unwrap();
         assert_eq!(consumed, 1);
         assert_eq!(ring.pending_submissions(), 0);
         let cqe = ring.pop_cqe().expect("nop completes");
@@ -830,11 +719,10 @@ mod tests {
         }
         assert!(!ring.push(&IoUringSqe::nop(999)), "SQ full");
         assert_eq!(ring.sq_space(), 0);
-        ring.enter(0, None).unwrap();
+        ring.enter().unwrap();
         assert!(ring.push(&IoUringSqe::nop(999)), "space after enter");
         // All NOPs (including the retried one) complete, none lost.
-        ring.enter(entries + 1, Some(Duration::from_secs(2)))
-            .unwrap();
+        ring.enter().unwrap();
         let mut got = Vec::new();
         while let Some(cqe) = ring.pop_cqe() {
             got.push(cqe.user_data);
@@ -844,17 +732,31 @@ mod tests {
     }
 
     #[test]
-    fn empty_wait_times_out_quickly() {
-        let Some(mut ring) = ring_or_skip(4) else {
+    fn cq_overflow_is_flushed_by_the_next_enter() {
+        let Some(mut ring) = ring_or_skip(2) else {
             return;
         };
-        let start = std::time::Instant::now();
-        let consumed = ring.enter(1, Some(Duration::from_millis(20))).unwrap();
-        assert_eq!(consumed, 0);
-        assert!(ring.pop_cqe().is_none());
-        let waited = start.elapsed();
-        assert!(waited >= Duration::from_millis(10), "waited {waited:?}");
-        assert!(waited < Duration::from_secs(2), "waited {waited:?}");
+        // Complete more NOPs than the CQ (twice the SQ) holds, reaping none.
+        let total = 3 * ring.sq.entries;
+        for i in 0..total {
+            if !ring.push(&IoUringSqe::nop(u64::from(i))) {
+                ring.enter().unwrap();
+                assert!(ring.push(&IoUringSqe::nop(u64::from(i))));
+            }
+        }
+        ring.enter().unwrap();
+        assert!(ring.cq_overflowed(), "the kernel holds CQEs back");
+        let mut got = 0;
+        while ring.pop_cqe().is_some() {
+            got += 1;
+        }
+        assert!(got < total);
+        ring.enter().unwrap();
+        while ring.pop_cqe().is_some() {
+            got += 1;
+        }
+        assert_eq!(got, total, "no completion lost to the overflow");
+        assert!(!ring.cq_overflowed());
     }
 
     #[test]

@@ -11,13 +11,16 @@
 //! them — the one contract the system actors speak, whatever mechanism
 //! sits beneath it.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::reap_until;
+
 use eactors::arena::Arena;
 use enet::{
-    Completion, CompletionRing, ListenerId, NetBackend, NetError, RecvOutcome, SimNet, SocketId,
-    TcpLoopback,
+    Completion, ListenerId, NetBackend, NetError, RecvOutcome, SimNet, SocketId, TcpLoopback,
 };
 use sgx_sim::{CostModel, Platform};
 
@@ -371,21 +374,6 @@ fn pair(net: &dyn NetBackend, name: &str) -> (ListenerId, SocketId, SocketId) {
     (l, c, accept_one(net, l, name))
 }
 
-/// Reap until `want` completions have arrived (or a deadline passes). A
-/// ring with a descriptor sleeps in the reap; one without is polled.
-fn reap_until(ring: &mut dyn CompletionRing, out: &mut Vec<Completion>, want: usize, name: &str) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while out.len() < want {
-        ring.reap(out, Some(Duration::from_millis(20))).unwrap();
-        assert!(
-            Instant::now() < deadline,
-            "[{name}] reap timed out at {} of {want} completions",
-            out.len()
-        );
-        std::thread::yield_now();
-    }
-}
-
 /// The one finished receive in `out`: (socket, payload bytes or error).
 fn take_recv(out: &mut Vec<Completion>, name: &str) -> (u64, Result<Vec<u8>, NetError>, Vec<u8>) {
     assert_eq!(out.len(), 1, "[{name}] exactly one completion");
@@ -457,7 +445,7 @@ fn ring_send_resumes_short_writes_and_surfaces_one_completion() {
         ring.send_node(c, node, 0).unwrap();
 
         let mut out = Vec::new();
-        ring.reap(&mut out, Some(Duration::ZERO)).unwrap();
+        ring.reap(&mut out).unwrap();
         assert!(
             out.is_empty(),
             "[{name}] nobody drains the peer yet — raise the payload"
@@ -474,7 +462,7 @@ fn ring_send_resumes_short_writes_and_surfaces_one_completion() {
             match net.recv(s, &mut buf).unwrap() {
                 RecvOutcome::Data(k) => received.extend_from_slice(&buf[..k]),
                 RecvOutcome::WouldBlock => {
-                    ring.reap(&mut out, Some(Duration::ZERO)).unwrap();
+                    ring.reap(&mut out).unwrap();
                 }
                 RecvOutcome::Eof => panic!("[{name}] premature eof"),
             }
@@ -510,8 +498,9 @@ fn ring_second_receive_is_refused_and_cancel_returns_the_node() {
 
         let mut out = Vec::new();
         // Flush the submission; no data is coming, so nothing completes.
-        ring.reap(&mut out, Some(Duration::from_millis(20)))
-            .unwrap();
+        ring.reap(&mut out).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        ring.reap(&mut out).unwrap();
         assert!(out.is_empty(), "[{name}]");
         assert_eq!(arena.free_nodes(), 1, "[{name}] one node is in flight");
         ring.cancel_recv(s);
@@ -538,7 +527,7 @@ fn ring_cancel_racing_data_loses_nothing() {
         let arena = Arena::new("ring-race", 2, 64);
         ring.recv_into(s, arena.try_pop().unwrap(), 0).unwrap();
         let mut out = Vec::new();
-        ring.reap(&mut out, Some(Duration::ZERO)).unwrap();
+        ring.reap(&mut out).unwrap();
         assert_eq!(net.send(c, b"racer").unwrap(), 5, "[{name}]");
         ring.cancel_recv(s);
         reap_until(ring.as_mut(), &mut out, 1, name);
@@ -642,7 +631,7 @@ fn ring_refuses_enclave_callers_and_charges_them_nothing() {
         let accept = ring.accept(l);
         let recv = ring.recv_into(s, recv_node, 0);
         let send = ring.send_node(s, payload, 0);
-        let reap = ring.reap(&mut out, Some(Duration::ZERO));
+        let reap = ring.reap(&mut out);
         sgx_sim::switch_domain(&p.costs(), prev);
 
         assert!(matches!(accept, Err(NetError::TrustedDomain)), "[{name}]");
@@ -673,16 +662,16 @@ fn ring_without_a_descriptor_charges_one_syscall_per_try() {
         let arena = Arena::new("ring-charge", 1, 64);
         let mut out = Vec::new();
         let charged = p.stats().syscalls();
-        ring.reap(&mut out, Some(Duration::ZERO)).unwrap();
+        ring.reap(&mut out).unwrap();
         assert_eq!(p.stats().syscalls(), charged, "[{name}] idle reap charged");
         ring.recv_into(s, arena.try_pop().unwrap(), 0).unwrap();
         assert_eq!(p.stats().syscalls() - charged, 1, "[{name}] submission");
         for _ in 0..10 {
-            ring.reap(&mut out, Some(Duration::ZERO)).unwrap();
+            ring.reap(&mut out).unwrap();
         }
         assert_eq!(p.stats().syscalls() - charged, 11, "[{name}] retries");
         ring.cancel_recv(s);
-        ring.reap(&mut out, Some(Duration::ZERO)).unwrap();
+        ring.reap(&mut out).unwrap();
         assert_eq!(p.stats().syscalls() - charged, 11, "[{name}] cancel");
     }
 }
@@ -728,12 +717,12 @@ fn ring_descriptor_is_readable_while_completions_wait() {
         let arena = Arena::new("ring-fd", 1, 64);
         ring.recv_into(s, arena.try_pop().unwrap(), 0).unwrap();
         let mut out = Vec::new();
-        assert_eq!(ring.reap(&mut out, Some(Duration::ZERO)).unwrap(), 0);
+        assert_eq!(ring.reap(&mut out).unwrap(), 0);
         assert!(!polls_readable(fd, 1), "[{name}] nothing pending");
 
         assert!(net.send(c, b"ping").unwrap() > 0, "[{name}]");
         assert!(polls_readable(fd, 5_000), "[{name}] news, not readable");
-        assert_eq!(ring.reap(&mut out, Some(Duration::ZERO)).unwrap(), 1);
+        assert_eq!(ring.reap(&mut out).unwrap(), 1);
         assert!(!polls_readable(fd, 1), "[{name}] reaped: quiet again");
     }
 }

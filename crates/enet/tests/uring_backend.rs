@@ -9,7 +9,11 @@
 
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use std::time::{Duration, Instant};
+
+use common::reap_until;
 
 use eactors::arena::Arena;
 use eactors::obs::MetricsRegistry;
@@ -55,20 +59,6 @@ fn socket_pairs(net: &UringBackend, pairs: usize) -> Vec<(SocketId, SocketId)> {
         .collect()
 }
 
-/// Reap until `want` completions have arrived (or a deadline passes).
-fn reap_until(ring: &mut dyn enet::CompletionRing, completions: &mut Vec<Completion>, want: usize) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while completions.len() < want {
-        ring.reap(completions, Some(Duration::from_millis(50)))
-            .unwrap();
-        assert!(
-            Instant::now() < deadline,
-            "reap timed out at {} of {want} completions",
-            completions.len()
-        );
-    }
-}
-
 /// The tentpole claim, measured: data already waiting on N sockets is
 /// collected with **fewer `io_uring_enter` calls than completions** —
 /// the per-event syscall is gone.
@@ -96,7 +86,7 @@ fn batched_receives_amortize_enter_syscalls() {
         ring.recv_into(*s, node, 0).unwrap();
     }
     let mut completions = Vec::new();
-    reap_until(ring.as_mut(), &mut completions, PAIRS);
+    reap_until(ring.as_mut(), &mut completions, PAIRS, "uring");
 
     let mut seen = 0;
     for c in &completions {
@@ -141,10 +131,7 @@ fn the_ring_charges_one_syscall_per_enter_and_nothing_else() {
     ring.recv_into(s, arena.try_pop().unwrap(), 0).unwrap();
     assert_eq!(p.stats().syscalls(), charged, "queueing is no syscall");
     for _ in 0..10_000 {
-        assert_eq!(
-            ring.reap(&mut completions, Some(Duration::ZERO)).unwrap(),
-            0
-        );
+        assert_eq!(ring.reap(&mut completions).unwrap(), 0);
     }
     assert_eq!(
         enters() - entered,
@@ -156,10 +143,10 @@ fn the_ring_charges_one_syscall_per_enter_and_nothing_else() {
     let charged_before_send = p.stats().syscalls();
     assert!(net.send(c, b"x").unwrap() > 0);
     let sent = p.stats().syscalls() - charged_before_send;
-    reap_until(ring.as_mut(), &mut completions, 1);
+    reap_until(ring.as_mut(), &mut completions, 1, "uring");
     ring.recv_into(s, arena.try_pop().unwrap(), 0).unwrap();
     ring.cancel_recv(s);
-    reap_until(ring.as_mut(), &mut completions, 2);
+    reap_until(ring.as_mut(), &mut completions, 2, "uring");
     assert_eq!(
         p.stats().syscalls() - charged - sent,
         enters() - entered,
@@ -170,7 +157,7 @@ fn the_ring_charges_one_syscall_per_enter_and_nothing_else() {
     let enclave = p.create_enclave("t", 4096).unwrap();
     let prev = sgx_sim::switch_domain(&p.costs(), enclave.domain());
     let (charged, entered) = (p.stats().syscalls(), enters());
-    let refused = ring.reap(&mut completions, Some(Duration::ZERO));
+    let refused = ring.reap(&mut completions);
     sgx_sim::switch_domain(&p.costs(), prev);
     assert!(matches!(refused, Err(NetError::TrustedDomain)));
     assert_eq!((p.stats().syscalls(), enters()), (charged, entered));
@@ -202,7 +189,7 @@ fn tiny_ring_retries_backlogged_sqes_without_loss() {
         ring.recv_into(*s, node, 0).unwrap();
     }
     let mut completions = Vec::new();
-    reap_until(ring.as_mut(), &mut completions, PAIRS);
+    reap_until(ring.as_mut(), &mut completions, PAIRS, "uring");
 
     // The ring reports lengths but leaves `set_len` to the READER, so
     // the payload is read straight from the node's buffer.

@@ -91,11 +91,6 @@ impl Cleaner {
     pub fn freed_total(&self) -> u64 {
         self.freed_total
     }
-
-    /// Shared counter of entries recycled (registry: `pos_cleaner_freed`).
-    pub fn freed_counter(&self) -> Arc<obs::Counter> {
-        self.freed.clone()
-    }
 }
 
 impl Actor for Cleaner {

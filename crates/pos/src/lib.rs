@@ -17,7 +17,9 @@
 //!   decrypt non-matching entries;
 //! * the whole region persists to a file ([`PosStore::persist`] /
 //!   [`PosStore::open`]), standing in for the paper's memory-mapped file
-//!   plus occasional `sync`.
+//!   plus occasional `sync`; a running deployment keeps a store durable
+//!   one way only — [`PosStore::open_wal`] and the [`Syncer`] eactor,
+//!   which appends deltas and compacts them into that image.
 //!
 //! ```
 //! use pos::{PosConfig, PosStore};

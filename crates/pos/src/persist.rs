@@ -16,7 +16,7 @@
 //! * **Atomic replace** — [`PosStore::persist`] writes `<path>.tmp`,
 //!   fsyncs, then renames over the target, so a crash at any point leaves
 //!   either the old or the new image, never a torn mix.
-//! * **Tamper evidence** — V2 images end in a CRC64 over the whole image;
+//! * **Tamper evidence** — images end in a CRC64 over the whole image;
 //!   encrypted stores additionally carry a keyed authentication tag over
 //!   the superblock. [`PosStore::from_image`] verifies both before
 //!   trusting any field.
@@ -28,8 +28,11 @@
 //!   failpoints (see [`failpoints`]) on a [`sgx_sim::FaultPlan`], so
 //!   tests can kill the write at every step and prove recovery.
 //!
-//! V1 images (pre-checksum) remain readable; they get the same structural
-//! validation but carry no integrity trailer.
+//! [`PosStore::from_image`] reads the current image version only. A
+//! reader that also took the pre-checksum layout would let whoever holds
+//! the file pick the checks: rewrite the version word, drop the flags
+//! byte, the tag and the trailer, and an encrypted store would load with
+//! neither verified. Any other version is [`PosError::Corrupt`].
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -42,10 +45,9 @@ use crate::error::PosError;
 use crate::store::{state, PosConfig, PosEncryption, PosStore, Retired, NIL};
 
 const MAGIC: u64 = 0x4541_504F_5356_3031; // "EAPOSV01"
-/// Current image version: checksummed, atomically replaced.
+/// The one image version written and read: checksummed, flagged, tagged
+/// when encrypted.
 const VERSION: u32 = 2;
-/// Legacy version: no flags byte, no integrity trailer.
-const VERSION_V1: u32 = 1;
 /// Superblock flag: payloads are sealed and a keyed tag follows the
 /// retired list.
 const FLAG_ENCRYPTED: u8 = 1;
@@ -108,7 +110,7 @@ const CRC64_TABLE: [u64; 256] = {
     table
 };
 
-/// CRC64 (ECMA-182, reflected) of `data` — the checksum sealed into V2
+/// CRC64 (ECMA-182, reflected) of `data` — the checksum sealed into
 /// store images. Exposed so tools and tests can re-frame tampered images.
 pub fn crc64(data: &[u8]) -> u64 {
     let mut crc = !0u64;
@@ -159,7 +161,7 @@ impl<'a> Cursor<'a> {
 }
 
 impl PosStore {
-    /// Serialise the whole store into a V2 byte image (checksummed, and
+    /// Serialise the whole store into a byte image (checksummed, and
     /// tagged when the store is encrypted).
     pub fn to_image(&self) -> Vec<u8> {
         let entries = self.capacity();
@@ -309,25 +311,21 @@ impl PosStore {
         if head.u64()? != MAGIC {
             return Err(PosError::Corrupt("bad magic"));
         }
-        let version = head.u32()?;
-        // Everything before the integrity trailer (V1 has no trailer).
-        let body = match version {
-            VERSION_V1 => image,
-            VERSION => {
-                let crc_at = image
-                    .len()
-                    .checked_sub(8)
-                    .filter(|&at| at >= head.pos)
-                    .ok_or(PosError::Corrupt("image truncated"))?;
-                let mut stored = [0u8; 8];
-                stored.copy_from_slice(&image[crc_at..]);
-                if crc64(&image[..crc_at]) != u64::from_le_bytes(stored) {
-                    return Err(PosError::Corrupt("checksum mismatch"));
-                }
-                &image[..crc_at]
-            }
-            _ => return Err(PosError::Corrupt("unsupported version")),
-        };
+        if head.u32()? != VERSION {
+            return Err(PosError::Corrupt("unsupported version"));
+        }
+        // Everything before the integrity trailer.
+        let crc_at = image
+            .len()
+            .checked_sub(8)
+            .filter(|&at| at >= head.pos)
+            .ok_or(PosError::Corrupt("image truncated"))?;
+        let mut stored = [0u8; 8];
+        stored.copy_from_slice(&image[crc_at..]);
+        if crc64(&image[..crc_at]) != u64::from_le_bytes(stored) {
+            return Err(PosError::Corrupt("checksum mismatch"));
+        }
+        let body = &image[..crc_at];
         let mut c = Cursor {
             data: body,
             pos: head.pos,
@@ -335,24 +333,17 @@ impl PosStore {
         let entries = c.u32()?;
         let payload = c.u64()? as usize;
         let stacks = c.u32()?;
-        let flags = if version >= VERSION {
-            let flags = c.u8()?;
-            if flags & !FLAG_ENCRYPTED != 0 {
-                return Err(PosError::Corrupt("unknown flags"));
-            }
-            if (flags & FLAG_ENCRYPTED != 0) != encryption.is_some() {
-                return Err(PosError::Corrupt(if flags & FLAG_ENCRYPTED != 0 {
-                    "image is encrypted but no key was supplied"
-                } else {
-                    "key supplied for a plaintext image"
-                }));
-            }
-            flags
-        } else if encryption.is_some() {
-            FLAG_ENCRYPTED
-        } else {
-            0
-        };
+        let flags = c.u8()?;
+        if flags & !FLAG_ENCRYPTED != 0 {
+            return Err(PosError::Corrupt("unknown flags"));
+        }
+        if (flags & FLAG_ENCRYPTED != 0) != encryption.is_some() {
+            return Err(PosError::Corrupt(if flags & FLAG_ENCRYPTED != 0 {
+                "image is encrypted but no key was supplied"
+            } else {
+                "key supplied for a plaintext image"
+            }));
+        }
         if entries == 0 || payload == 0 || stacks == 0 {
             return Err(PosError::Corrupt("zero geometry"));
         }
@@ -450,7 +441,7 @@ impl PosStore {
             });
         }
         *store.retired.lock() = retired;
-        if flags & FLAG_ENCRYPTED != 0 && version >= VERSION {
+        if flags & FLAG_ENCRYPTED != 0 {
             let tag = c.u64()?;
             match store.superblock_tag(&body[..superblock_end]) {
                 Some(expect) if expect == tag => {}

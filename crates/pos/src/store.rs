@@ -227,11 +227,6 @@ impl PosStore {
         self.payload_size
     }
 
-    /// Number of hash stacks.
-    pub fn stack_count(&self) -> u32 {
-        self.stack_heads.len() as u32
-    }
-
     /// Whether pairs are stored encrypted.
     pub fn encrypted(&self) -> bool {
         self.cipher.is_some()

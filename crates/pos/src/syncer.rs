@@ -8,18 +8,17 @@
 //! registered store's dirty state to disk, charging the syscall cost —
 //! enclaved actors never touch the filesystem.
 //!
-//! Two durability paths per store:
+//! There is one durable-write path: the Syncer takes WAL-backed stores
+//! only (opened via [`PosStore::open_wal`]) and calls
+//! [`PosStore::wal_sync`] on each — pending delta records are appended
+//! and fsynced, and the log compacts into the image when it outgrows its
+//! threshold, `O(delta)` per pass instead of `O(store)`. The whole-image
+//! write ([`PosStore::persist`]) is that compaction's primitive and the
+//! way to take a one-off image; it is not a second way to run a Syncer.
 //!
-//! * **WAL-backed stores** (opened via [`PosStore::open_wal`]) get
-//!   [`PosStore::wal_sync`]: pending delta records are appended and
-//!   fsynced, and the log compacts into the image when it outgrows its
-//!   threshold — `O(delta)` per pass instead of `O(store)`.
-//! * **Plain stores** fall back to the whole-image
-//!   `persist_with` path.
-//!
-//! Either way, a store whose [`PosStore::dirty_epoch`] has not moved
-//! since its last successful sync (and whose WAL has no pending work) is
-//! **skipped** — a quiescent store costs zero syscalls per pass.
+//! A store whose [`PosStore::dirty_epoch`] has not moved since its last
+//! successful sync, and whose WAL has no pending work, is **skipped** —
+//! a quiescent store costs zero syscalls per pass.
 //!
 //! Failure handling: a store whose sync fails does **not** abort the
 //! pass — the remaining stores are still written. The failed store backs
@@ -35,7 +34,6 @@
 //! `pos_wal_log_bytes` gauge, and one `pos_store_<name>_memory_bytes`
 //! gauge per registered store.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,9 +49,6 @@ pub const MAX_BACKOFF_PASSES: u64 = 8;
 #[derive(Debug)]
 struct StoreSlot {
     store: Arc<PosStore>,
-    /// Whole-image target; WAL slots carry their paths in the WalConfig
-    /// and leave this empty.
-    path: PathBuf,
     /// Passes to skip before the next retry (0 = attempt now).
     skip: u64,
     /// Backoff applied on the next failure; doubles per consecutive
@@ -65,10 +60,13 @@ struct StoreSlot {
 }
 
 impl StoreSlot {
-    fn new(store: Arc<PosStore>, path: PathBuf) -> Self {
+    fn new(store: Arc<PosStore>) -> Self {
+        assert!(
+            store.wal_attached(),
+            "the Syncer syncs WAL-backed stores only: open the store with PosStore::open_wal"
+        );
         StoreSlot {
             store,
-            path,
             skip: 0,
             penalty: 1,
             synced_epoch: 0,
@@ -80,8 +78,7 @@ impl StoreSlot {
         let stem = self
             .store
             .wal_image_path()
-            .unwrap_or(&self.path)
-            .file_stem()
+            .and_then(|p| p.file_stem())
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "anon".to_owned());
         let mut name: String = stem
@@ -100,14 +97,14 @@ impl StoreSlot {
 /// # Examples
 ///
 /// ```
-/// use pos::{PosConfig, PosStore, Syncer};
+/// use pos::{PosConfig, PosStore, Syncer, WalConfig};
 ///
-/// let store = PosStore::new(PosConfig::default());
-/// let path = std::env::temp_dir().join("syncer-doc.pos");
+/// let files = WalConfig::in_dir(std::env::temp_dir(), "syncer-doc");
+/// let store = PosStore::open_wal(files, PosConfig::default(), 1 << 24)?;
 /// let every = std::time::Duration::from_millis(10);
-/// let syncer = Syncer::new(vec![(store, path.clone())], every);
+/// let syncer = Syncer::new(vec![store], every);
 /// # let _ = syncer;
-/// # std::fs::remove_file(path).ok();
+/// # Ok::<(), pos::PosError>(())
 /// ```
 #[derive(Debug)]
 pub struct Syncer {
@@ -129,15 +126,16 @@ pub struct Syncer {
 impl Syncer {
     /// A syncer persisting `stores` every `interval` — of time, so the
     /// durability lag does not depend on how often the hosting worker
-    /// happens to run the body. Each store syncs through its WAL when
-    /// one is attached, through a whole-image write to its path
-    /// otherwise.
-    pub fn new(stores: Vec<(Arc<PosStore>, PathBuf)>, interval: Duration) -> Self {
+    /// happens to run the body. Each store syncs through its WAL; its
+    /// file paths come from its [`crate::WalConfig`].
+    ///
+    /// # Panics
+    ///
+    /// When a store has no WAL attached (it was not opened with
+    /// [`PosStore::open_wal`]): there is nowhere to sync it to.
+    pub fn new(stores: Vec<Arc<PosStore>>, interval: Duration) -> Self {
         Syncer {
-            slots: stores
-                .into_iter()
-                .map(|(store, path)| StoreSlot::new(store, path))
-                .collect(),
+            slots: stores.into_iter().map(StoreSlot::new).collect(),
             interval,
             next_pass: Instant::now(),
             faults: FaultPlan::default(),
@@ -151,20 +149,9 @@ impl Syncer {
         }
     }
 
-    /// Add WAL-backed stores (opened via [`PosStore::open_wal`]); their
-    /// file paths come from their [`crate::WalConfig`].
-    pub fn with_wal_stores(mut self, stores: Vec<Arc<PosStore>>) -> Self {
-        self.slots.extend(
-            stores
-                .into_iter()
-                .map(|s| StoreSlot::new(s, PathBuf::new())),
-        );
-        self
-    }
-
     /// Thread a fault-injection plan through every sync (typically
-    /// `platform.faults()`), enabling the `pos.persist.*` and
-    /// `pos.wal.*` failpoints.
+    /// `platform.faults()`), enabling the `pos.wal.*` failpoints and,
+    /// through compaction, the `pos.persist.*` ones.
     pub fn with_fault_plan(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
@@ -237,8 +224,6 @@ impl Actor for Syncer {
         );
         let mut all_ok = true;
         let mut attempted = 0u64;
-        let mut log_bytes = 0u64;
-        let mut any_wal = false;
         for slot in &mut self.slots {
             if slot.skip > 0 {
                 slot.skip -= 1;
@@ -249,24 +234,14 @@ impl Actor for Syncer {
             // the sync bumps it past the recorded value and forces a
             // re-sync next pass.
             let dirty = slot.store.dirty_epoch();
-            let wal = slot.store.wal_attached();
-            if wal {
-                any_wal = true;
-            }
-            let clean = if wal {
-                !slot.store.wal_needs_sync() && dirty == slot.synced_epoch
-            } else {
-                dirty == slot.synced_epoch
-            };
-            if clean {
+            if !slot.store.wal_needs_sync() && dirty == slot.synced_epoch {
                 self.skips.inc();
-                log_bytes += slot.store.wal_log_bytes();
                 continue;
             }
             attempted += 1;
             ctx.costs().charge_syscall(); // the sync(2)-style call
-            let outcome = if wal {
-                slot.store.wal_sync(&self.faults).map(|stats| {
+            match slot.store.wal_sync(&self.faults) {
+                Ok(stats) => {
                     self.wal_records.add(stats.appended_records);
                     self.wal_bytes.add(stats.appended_bytes);
                     if stats.appended_records > 0 {
@@ -286,13 +261,6 @@ impl Actor for Syncer {
                             0,
                         );
                     }
-                    log_bytes += stats.log_bytes;
-                })
-            } else {
-                slot.store.persist_with(&slot.path, &self.faults)
-            };
-            match outcome {
-                Ok(()) => {
                     slot.penalty = 1;
                     slot.synced_epoch = dirty;
                 }
@@ -304,15 +272,11 @@ impl Actor for Syncer {
                     slot.skip = slot.penalty;
                     slot.penalty = (slot.penalty * 2).min(MAX_BACKOFF_PASSES);
                     all_ok = false;
-                    if wal {
-                        log_bytes += slot.store.wal_log_bytes();
-                    }
                 }
             }
         }
-        if any_wal {
-            self.wal_log_bytes.set(log_bytes);
-        }
+        self.wal_log_bytes
+            .set(self.slots.iter().map(|s| s.store.wal_log_bytes()).sum());
         if all_ok {
             self.syncs.inc();
         }
@@ -333,318 +297,138 @@ impl Actor for Syncer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::failpoints::PERSIST_RENAME;
     use crate::{PosConfig, PosStore, WalConfig};
     use eactors::prelude::*;
     use sgx_sim::{CostModel, Platform};
 
     const EVERY: Duration = Duration::from_micros(100);
 
-    fn small_store() -> Arc<PosStore> {
-        PosStore::new(PosConfig {
-            entries: 32,
+    fn geometry() -> PosConfig {
+        PosConfig {
+            entries: 64,
             payload: 64,
             stacks: 4,
             encryption: None,
-        })
+        }
+    }
+
+    /// `<tag>.{pos,wal}` in a directory of this test's own.
+    fn files(tag: &str) -> WalConfig {
+        let dir = std::env::temp_dir().join(format!("syncer-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        WalConfig::in_dir(dir, tag)
+    }
+
+    /// The same, in a directory that does not exist: opening writes
+    /// nothing, every sync fails creating the log.
+    fn unwritable_files() -> WalConfig {
+        WalConfig::in_dir("/nonexistent-dir-zzz", "bad")
+    }
+
+    /// A fresh WAL-backed store over `cfg`'s files.
+    fn wal_store(cfg: &WalConfig) -> Arc<PosStore> {
+        std::fs::remove_file(&cfg.image_path).ok();
+        std::fs::remove_file(&cfg.log_path).ok();
+        PosStore::open_wal(cfg.clone(), geometry(), 1 << 24).unwrap()
+    }
+
+    /// The same with one pending delta, `k = v`.
+    fn dirty_store(cfg: &WalConfig) -> Arc<PosStore> {
+        let store = wal_store(cfg);
+        let r = store.register_reader();
+        store.set(&r, b"k", b"v").unwrap();
+        store
+    }
+
+    /// What recovery from `cfg`'s files reads under `key`.
+    fn recovered(cfg: WalConfig, key: &[u8]) -> Option<Vec<u8>> {
+        let reopened = PosStore::open_wal(cfg, geometry(), 1 << 24).unwrap();
+        let r = reopened.register_reader();
+        let mut buf = [0u8; 8];
+        let n = reopened.get(&r, key, &mut buf).unwrap()?;
+        Some(buf[..n].to_vec())
+    }
+
+    /// Add `syncer` to `b` on one untrusted worker beside a stopper that
+    /// shuts the runtime down once `done` holds, and run it.
+    fn run_until(
+        mut b: DeploymentBuilder,
+        syncer: Syncer,
+        mut done: impl FnMut() -> bool + Send + 'static,
+    ) -> RuntimeReport {
+        let s = b.actor("syncer", Placement::Untrusted, syncer);
+        let stopper = b.actor(
+            "stopper",
+            Placement::Untrusted,
+            eactors::from_fn(move |ctx| {
+                if done() {
+                    ctx.shutdown();
+                    Control::Park
+                } else {
+                    Control::Idle
+                }
+            }),
+        );
+        b.worker(&[s, stopper]);
+        let platform = Platform::builder().cost_model(CostModel::zero()).build();
+        Runtime::start(&platform, b.build().unwrap())
+            .unwrap()
+            .join()
+    }
+
+    #[test]
+    #[should_panic(expected = "PosStore::open_wal")]
+    fn a_store_without_a_wal_is_refused() {
+        Syncer::new(vec![PosStore::new(geometry())], EVERY);
+    }
+
+    /// An enclaved writer — no filesystem access — storing `progress =
+    /// 0..writes` into `store`, on a worker of its own beside the one
+    /// `run_until` sets up.
+    fn enclaved_writer(b: &mut DeploymentBuilder, store: Arc<PosStore>, writes: u64) {
+        let e = b.enclave("writer-enclave");
+        let mut i = 0u64;
+        let writer = b.actor(
+            "writer",
+            Placement::Enclave(e),
+            eactors::from_fn(move |_| {
+                if i == writes {
+                    return Control::Park;
+                }
+                let r = store.register_reader();
+                store.set(&r, b"progress", &i.to_le_bytes()).unwrap();
+                store.clean();
+                i += 1;
+                Control::Busy
+            }),
+        );
+        b.worker(&[writer]);
     }
 
     #[test]
     fn syncer_persists_live_updates_from_an_enclaved_writer() {
-        let dir = std::env::temp_dir().join(format!("syncer-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("live.pos");
-        let store = small_store();
-
-        let platform = Platform::builder().cost_model(CostModel::zero()).build();
+        let cfg = files("live");
+        let store = wal_store(&cfg);
         let mut b = DeploymentBuilder::new();
-        let e = b.enclave("writer-enclave");
-
-        // An enclaved writer updating the store — no filesystem access.
-        let store_w = store.clone();
-        let mut i = 0u64;
-        let writer = b.actor(
-            "writer",
-            Placement::Enclave(e),
-            eactors::from_fn(move |_| {
-                if i == 20 {
-                    return Control::Park;
-                }
-                let r = store_w.register_reader();
-                store_w.set(&r, b"progress", &i.to_le_bytes()).unwrap();
-                store_w.clean();
-                i += 1;
-                Control::Busy
-            }),
-        );
-        let syncer = Syncer::new(vec![(store.clone(), path.clone())], EVERY);
+        enclaved_writer(&mut b, store.clone(), 20);
+        let syncer = Syncer::new(vec![store], EVERY);
         let syncs = syncer.syncs();
-        let s = b.actor("syncer", Placement::Untrusted, syncer);
-        let syncs2 = syncs.clone();
-        let stopper = b.actor(
-            "stopper",
-            Placement::Untrusted,
-            eactors::from_fn(move |ctx| {
-                if syncs2.get() >= 5 {
-                    ctx.shutdown();
-                    Control::Park
-                } else {
-                    Control::Idle
-                }
-            }),
-        );
-        b.worker(&[writer]);
-        b.worker(&[s, stopper]);
-        Runtime::start(&platform, b.build().unwrap())
-            .unwrap()
-            .join();
-
-        // The persisted image is loadable and holds a progress value.
-        let reopened = PosStore::open(&path, None).unwrap();
-        let r = reopened.register_reader();
-        let mut buf = [0u8; 8];
-        assert!(reopened.get(&r, b"progress", &mut buf).unwrap().is_some());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn failures_are_counted_not_fatal() {
-        let store = PosStore::new(PosConfig::default());
-        let r = store.register_reader();
-        store.set(&r, b"k", b"v").unwrap(); // dirty — gets attempted
-        let bad_path = PathBuf::from("/nonexistent-dir-zzz/image.pos");
-        let platform = Platform::builder().cost_model(CostModel::zero()).build();
-        let mut b = DeploymentBuilder::new();
-        let syncer = Syncer::new(vec![(store, bad_path)], EVERY);
-        let failures = syncer.failures();
-        let s = b.actor("syncer", Placement::Untrusted, syncer);
-        let failures2 = failures.clone();
-        let stopper = b.actor(
-            "stopper",
-            Placement::Untrusted,
-            eactors::from_fn(move |ctx| {
-                if failures2.get() >= 3 {
-                    ctx.shutdown();
-                    Control::Park
-                } else {
-                    Control::Idle
-                }
-            }),
-        );
-        b.worker(&[s, stopper]);
-        Runtime::start(&platform, b.build().unwrap())
-            .unwrap()
-            .join();
-        assert!(failures.get() >= 3);
-    }
-
-    #[test]
-    fn one_failing_store_does_not_starve_the_others() {
-        let dir = std::env::temp_dir().join(format!("syncer-multi-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let good_path = dir.join("good.pos");
-        std::fs::remove_file(&good_path).ok();
-        let bad = PosStore::new(PosConfig::default());
-        let rb = bad.register_reader();
-        bad.set(&rb, b"k", b"v").unwrap(); // dirty — gets attempted
-        let good = small_store();
-        let r = good.register_reader();
-        good.set(&r, b"k", b"v").unwrap();
-
-        let platform = Platform::builder().cost_model(CostModel::zero()).build();
-        let mut b = DeploymentBuilder::new();
-        // The failing store is registered FIRST: pre-fix, its failure
-        // aborted the pass and the good store was never written.
-        let syncer = Syncer::new(
-            vec![
-                (bad, PathBuf::from("/nonexistent-dir-zzz/bad.pos")),
-                (good.clone(), good_path.clone()),
-            ],
-            EVERY,
-        );
-        let failures = syncer.failures();
-        let s = b.actor("syncer", Placement::Untrusted, syncer);
-        let failures2 = failures.clone();
-        let probe_path = good_path.clone();
-        let stopper = b.actor(
-            "stopper",
-            Placement::Untrusted,
-            eactors::from_fn(move |ctx| {
-                if failures2.get() >= 2 && probe_path.exists() {
-                    ctx.shutdown();
-                    Control::Park
-                } else {
-                    Control::Idle
-                }
-            }),
-        );
-        b.worker(&[s, stopper]);
-        Runtime::start(&platform, b.build().unwrap())
-            .unwrap()
-            .join();
-
-        let reopened = PosStore::open(&good_path, None).unwrap();
-        let r = reopened.register_reader();
-        let mut buf = [0u8; 8];
-        assert_eq!(reopened.get(&r, b"k", &mut buf).unwrap(), Some(1));
-        assert!(failures.get() >= 2);
-        std::fs::remove_file(&good_path).ok();
-    }
-
-    #[test]
-    fn injected_persist_fault_recovers_on_retry() {
-        let dir = std::env::temp_dir().join(format!("syncer-fault-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("faulty.pos");
-        std::fs::remove_file(&path).ok();
-        let store = small_store();
-        let r = store.register_reader();
-        store.set(&r, b"k", b"v").unwrap();
-
-        let plan = FaultPlan::new();
-        plan.fail_nth(crate::persist::failpoints::PERSIST_RENAME, 1);
-        let platform = Platform::builder()
-            .cost_model(CostModel::zero())
-            .fault_plan(plan.clone())
-            .build();
-        let mut b = DeploymentBuilder::new();
-        let syncer =
-            Syncer::new(vec![(store, path.clone())], EVERY).with_fault_plan(platform.faults());
-        let failures = syncer.failures();
-        let syncs = syncer.syncs();
-        let s = b.actor("syncer", Placement::Untrusted, syncer);
-        let syncs2 = syncs.clone();
-        let stopper = b.actor(
-            "stopper",
-            Placement::Untrusted,
-            eactors::from_fn(move |ctx| {
-                if syncs2.get() >= 1 {
-                    ctx.shutdown();
-                    Control::Park
-                } else {
-                    Control::Idle
-                }
-            }),
-        );
-        b.worker(&[s, stopper]);
-        Runtime::start(&platform, b.build().unwrap())
-            .unwrap()
-            .join();
-
-        assert_eq!(failures.get(), 1, "one injected failure");
-        assert_eq!(plan.trips(crate::persist::failpoints::PERSIST_RENAME), 1);
-        let reopened = PosStore::open(&path, None).unwrap();
-        let r = reopened.register_reader();
-        let mut buf = [0u8; 8];
-        assert_eq!(reopened.get(&r, b"k", &mut buf).unwrap(), Some(1));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn clean_stores_are_skipped_dirty_stores_are_synced() {
-        let dir = std::env::temp_dir().join(format!("syncer-skip-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("skip.pos");
-        std::fs::remove_file(&path).ok();
-        let store = small_store();
-        let r = store.register_reader();
-        store.set(&r, b"k", b"v").unwrap();
-
-        let platform = Platform::builder().cost_model(CostModel::zero()).build();
-        let mut b = DeploymentBuilder::new();
-        let syncer = Syncer::new(vec![(store.clone(), path.clone())], EVERY);
-        let skips = syncer.sync_skips();
-        let syncs = syncer.syncs();
-        let s = b.actor("syncer", Placement::Untrusted, syncer);
-        let skips2 = skips.clone();
-        let stopper = b.actor(
-            "stopper",
-            Placement::Untrusted,
-            eactors::from_fn(move |ctx| {
-                // Wait until the dirty store was written once and then
-                // skipped on several subsequent passes.
-                if skips2.get() >= 5 {
-                    ctx.shutdown();
-                    Control::Park
-                } else {
-                    Control::Idle
-                }
-            }),
-        );
-        b.worker(&[s, stopper]);
-        Runtime::start(&platform, b.build().unwrap())
-            .unwrap()
-            .join();
-
-        assert!(path.exists(), "the one dirty write was persisted");
-        assert!(skips.get() >= 5, "clean passes skipped the store");
-        assert!(syncs.get() >= 5, "skipped-clean passes still count ok");
-        // The file was written exactly once: its mtime-stable content
-        // matches the single update.
-        let reopened = PosStore::open(&path, None).unwrap();
-        let r2 = reopened.register_reader();
-        let mut buf = [0u8; 8];
-        assert_eq!(reopened.get(&r2, b"k", &mut buf).unwrap(), Some(1));
-        std::fs::remove_file(&path).ok();
+        run_until(b, syncer, move || syncs.get() >= 5);
+        // The files recover to a store holding a progress value.
+        assert!(recovered(cfg, b"progress").is_some());
     }
 
     #[test]
     fn wal_store_syncs_deltas_through_the_actor() {
-        let dir = std::env::temp_dir().join(format!("syncer-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let cfg = WalConfig::in_dir(&dir, "actor");
-        std::fs::remove_file(&cfg.image_path).ok();
-        std::fs::remove_file(&cfg.log_path).ok();
-        let store = PosStore::open_wal(
-            cfg.clone(),
-            PosConfig {
-                entries: 64,
-                payload: 64,
-                stacks: 4,
-                encryption: None,
-            },
-            1 << 24,
-        )
-        .unwrap();
-
-        let platform = Platform::builder().cost_model(CostModel::zero()).build();
+        let cfg = files("actor");
+        let store = wal_store(&cfg);
         let mut b = DeploymentBuilder::new();
-        let e = b.enclave("writer-enclave");
-        let store_w = store.clone();
-        let mut i = 0u64;
-        let writer = b.actor(
-            "writer",
-            Placement::Enclave(e),
-            eactors::from_fn(move |_| {
-                if i == 10 {
-                    return Control::Park;
-                }
-                let r = store_w.register_reader();
-                store_w.set(&r, b"progress", &i.to_le_bytes()).unwrap();
-                store_w.clean();
-                i += 1;
-                Control::Busy
-            }),
-        );
-        let syncer = Syncer::new(Vec::new(), EVERY).with_wal_stores(vec![store.clone()]);
+        enclaved_writer(&mut b, store.clone(), 10);
+        let syncer = Syncer::new(vec![store], EVERY);
         let records = syncer.wal_records();
-        let s = b.actor("syncer", Placement::Untrusted, syncer);
-        let records2 = records.clone();
-        let stopper = b.actor(
-            "stopper",
-            Placement::Untrusted,
-            eactors::from_fn(move |ctx| {
-                if records2.get() >= 10 {
-                    ctx.shutdown();
-                    Control::Park
-                } else {
-                    Control::Idle
-                }
-            }),
-        );
-        b.worker(&[writer]);
-        b.worker(&[s, stopper]);
-        let rt = Runtime::start(&platform, b.build().unwrap()).unwrap();
-        let report = rt.join();
+        let seen = records.clone();
+        let report = run_until(b, syncer, move || seen.get() >= 10);
         assert!(records.get() >= 10, "all deltas drained through the wal");
         assert!(
             report.metrics.counter("pos_wal_records").unwrap_or(0) >= 10,
@@ -658,22 +442,78 @@ mod tests {
                 > 0,
             "per-store memory gauge registered"
         );
-
         // Recovery sees every synced delta.
-        let reopened = PosStore::open_wal(
-            cfg,
-            PosConfig {
-                entries: 64,
-                payload: 64,
-                stacks: 4,
-                encryption: None,
-            },
-            1 << 24,
-        )
-        .unwrap();
-        let r = reopened.register_reader();
-        let mut buf = [0u8; 8];
-        assert_eq!(reopened.get(&r, b"progress", &mut buf).unwrap(), Some(8));
-        assert_eq!(u64::from_le_bytes(buf), 9);
+        assert_eq!(
+            recovered(cfg, b"progress"),
+            Some(9u64.to_le_bytes().to_vec())
+        );
+    }
+
+    #[test]
+    fn failures_are_counted_not_fatal() {
+        let syncer = Syncer::new(vec![dirty_store(&unwritable_files())], EVERY);
+        let failures = syncer.failures();
+        let seen = failures.clone();
+        run_until(DeploymentBuilder::new(), syncer, move || seen.get() >= 3);
+        assert!(failures.get() >= 3);
+    }
+
+    #[test]
+    fn one_failing_store_does_not_starve_the_others() {
+        let bad = dirty_store(&unwritable_files());
+        let good_cfg = files("good");
+        let good = dirty_store(&good_cfg);
+        // The failing store is registered FIRST: pre-fix, its failure
+        // aborted the pass and the good store was never written.
+        let syncer = Syncer::new(vec![bad, good], EVERY);
+        let failures = syncer.failures();
+        let records = syncer.wal_records();
+        let seen = failures.clone();
+        run_until(DeploymentBuilder::new(), syncer, move || {
+            seen.get() >= 2 && records.get() >= 1
+        });
+        assert_eq!(recovered(good_cfg, b"k"), Some(b"v".to_vec()));
+        assert!(failures.get() >= 2);
+    }
+
+    #[test]
+    fn injected_persist_fault_recovers_on_retry() {
+        // A zero threshold makes the first sync compact, so the image
+        // write's failpoints are reached through the Syncer.
+        let mut cfg = files("faulty");
+        cfg.compact_bytes = 0;
+        let store = dirty_store(&cfg);
+
+        let plan = FaultPlan::new();
+        plan.fail_nth(PERSIST_RENAME, 1);
+        let syncer = Syncer::new(vec![store], EVERY).with_fault_plan(plan.clone());
+        let failures = syncer.failures();
+        let compactions = syncer.wal_compactions();
+        let seen = compactions.clone();
+        run_until(DeploymentBuilder::new(), syncer, move || seen.get() >= 1);
+
+        assert_eq!(failures.get(), 1, "one injected failure");
+        assert_eq!(plan.trips(PERSIST_RENAME), 1);
+        assert!(cfg.image_path.exists(), "the retried compaction landed");
+        assert_eq!(recovered(cfg, b"k"), Some(b"v".to_vec()));
+    }
+
+    #[test]
+    fn clean_stores_are_skipped_dirty_stores_are_synced() {
+        let cfg = files("skip");
+        let store = dirty_store(&cfg);
+        let syncer = Syncer::new(vec![store], EVERY);
+        let skips = syncer.sync_skips();
+        let syncs = syncer.syncs();
+        let records = syncer.wal_records();
+        // Wait until the dirty store was written once and then skipped
+        // on several subsequent passes.
+        let seen = skips.clone();
+        run_until(DeploymentBuilder::new(), syncer, move || seen.get() >= 5);
+
+        assert!(skips.get() >= 5, "clean passes skipped the store");
+        assert!(syncs.get() >= 5, "skipped-clean passes still count ok");
+        assert_eq!(records.get(), 1, "the one delta was written exactly once");
+        assert_eq!(recovered(cfg, b"k"), Some(b"v".to_vec()));
     }
 }

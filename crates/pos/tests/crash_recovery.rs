@@ -47,31 +47,14 @@ fn refresh_crc(image: &mut [u8]) {
     image[crc_at..].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Hand-roll a legacy V1 image (empty store, given geometry/epoch).
-fn v1_image(entries: u32, payload: u64, stacks: u32, epoch: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&0x4541_504F_5356_3031u64.to_le_bytes()); // magic
-    out.extend_from_slice(&1u32.to_le_bytes()); // version
-    out.extend_from_slice(&entries.to_le_bytes());
-    out.extend_from_slice(&payload.to_le_bytes());
-    out.extend_from_slice(&stacks.to_le_bytes());
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&0u64.to_le_bytes()); // free head: tag 0, idx 0
-    out.extend_from_slice(&(entries as u64).to_le_bytes()); // free count
-    out.extend_from_slice(&0u32.to_le_bytes()); // sealed_len
-    for _ in 0..stacks {
-        out.extend_from_slice(&u32::MAX.to_le_bytes()); // empty stacks
-    }
-    for i in 0..entries {
-        let next = if i + 1 < entries { i + 1 } else { u32::MAX };
-        out.extend_from_slice(&next.to_le_bytes());
-        out.push(0); // FREE
-        out.extend_from_slice(&0u64.to_le_bytes()); // khash
-        out.extend_from_slice(&0u32.to_le_bytes()); // klen
-        out.extend_from_slice(&0u32.to_le_bytes()); // vlen
-    }
-    out.resize(out.len() + (entries as u64 * payload) as usize, 0);
-    out.extend_from_slice(&0u32.to_le_bytes()); // retired list: empty
+/// Forge the pre-checksum V1 form of a V2 image, as whoever holds the
+/// file could: version word rewritten, the flags byte (offset 28), the
+/// keyed superblock tag of an encrypted store and the CRC trailer dropped.
+fn v1_image(v2: &[u8], encrypted: bool) -> Vec<u8> {
+    let trailer = if encrypted { 16 } else { 8 };
+    let mut out = v2[..v2.len() - trailer].to_vec();
+    out[8..12].copy_from_slice(&1u32.to_le_bytes());
+    out.remove(28);
     out
 }
 
@@ -196,25 +179,42 @@ fn truncations_and_trailing_bytes_are_rejected() {
 }
 
 #[test]
-fn v1_images_still_load() {
-    let image = v1_image(4, 32, 2, 3);
-    let store = PosStore::from_image(&image, None).unwrap();
-    assert_eq!(store.capacity(), 4);
-    assert_eq!(store.payload_size(), 32);
-    assert_eq!(store.free_entries(), 4);
+fn a_version_downgrade_does_not_shed_the_integrity_checks() {
+    use sgx_sim::crypto::SessionKey;
+    use sgx_sim::{CostModel, Platform};
+    let costs = Platform::builder()
+        .cost_model(CostModel::zero())
+        .build()
+        .costs();
+    let key = SessionKey::derive(&[5]);
+    let enc = || {
+        Some(pos::PosEncryption {
+            key: key.clone(),
+            costs: costs.clone(),
+        })
+    };
+    let store = PosStore::new(PosConfig {
+        encryption: enc(),
+        ..small_store_config()
+    });
     let r = store.register_reader();
     store.set(&r, b"k", b"v").unwrap();
-    let mut buf = [0u8; 8];
-    assert_eq!(store.get(&r, b"k", &mut buf).unwrap(), Some(1));
-}
+    let image = store.to_image();
+    PosStore::from_image(&image, enc()).expect("the V2 image itself loads");
 
-#[test]
-fn v1_trailing_garbage_is_rejected() {
-    let mut image = v1_image(4, 32, 2, 0);
-    image.push(0);
+    // The V1 form carries no CRC, no flags and no tag to check: taking it
+    // would load an encrypted store, with its key, unauthenticated.
+    let forged = v1_image(&image, true);
+    for encryption in [enc(), None] {
+        assert!(matches!(
+            PosStore::from_image(&forged, encryption),
+            Err(PosError::Corrupt("unsupported version"))
+        ));
+    }
+    let plain = v1_image(&small_store().to_image(), false);
     assert!(matches!(
-        PosStore::from_image(&image, None),
-        Err(PosError::Corrupt("trailing bytes after image"))
+        PosStore::from_image(&plain, None),
+        Err(PosError::Corrupt("unsupported version"))
     ));
 }
 
@@ -224,26 +224,29 @@ fn inflated_geometry_is_rejected_without_allocation() {
     // the size precheck, never allocate.
     let mut image = Vec::new();
     image.extend_from_slice(&0x4541_504F_5356_3031u64.to_le_bytes());
-    image.extend_from_slice(&1u32.to_le_bytes());
+    image.extend_from_slice(&2u32.to_le_bytes()); // version
     image.extend_from_slice(&(u32::MAX - 1).to_le_bytes()); // entries
     image.extend_from_slice(&(1u64 << 16).to_le_bytes()); // payload
     image.extend_from_slice(&8u32.to_le_bytes()); // stacks
+    image.push(0); // flags: plaintext
     image.extend_from_slice(&0u64.to_le_bytes()); // epoch
     image.extend_from_slice(&0u64.to_le_bytes()); // free head
     image.extend_from_slice(&0u64.to_le_bytes()); // free count
     image.extend_from_slice(&0u32.to_le_bytes()); // sealed_len
     image.resize(100, 0);
+    refresh_crc(&mut image);
     assert!(matches!(
         PosStore::from_image(&image, None),
-        Err(PosError::Corrupt(_))
+        Err(PosError::Corrupt("geometry exceeds image size"))
     ));
 
     // Overflowing entries × payload must be caught by checked math.
     let mut overflow = image.clone();
     overflow[16..24].copy_from_slice(&u64::MAX.to_le_bytes()); // payload
+    refresh_crc(&mut overflow);
     assert!(matches!(
         PosStore::from_image(&overflow, None),
-        Err(PosError::Corrupt(_))
+        Err(PosError::Corrupt("geometry overflow"))
     ));
 }
 
@@ -260,11 +263,8 @@ fn restore_budget_is_enforced() {
 
 #[test]
 fn huge_epoch_restores_in_constant_time() {
-    // V1 path: the epoch is stored directly, not replayed.
-    let image = v1_image(4, 32, 1, u64::MAX - 1);
-    PosStore::from_image(&image, None).unwrap();
-
-    // V2 path: patch the epoch field (offset 29) and re-seal the CRC.
+    // The epoch is stored directly, not replayed: patch the field
+    // (offset 29) and re-seal the CRC.
     let store = small_store();
     let mut image = store.to_image();
     image[29..37].copy_from_slice(&(u64::MAX - 1).to_le_bytes());

@@ -154,13 +154,6 @@ impl Enclave {
         f()
     }
 
-    /// Run `f` inside the enclave after copying `bytes` of arguments across
-    /// the boundary, as the SDK's generated bridge code does.
-    pub fn ecall_with_copy<R>(&self, bytes: usize, f: impl FnOnce() -> R) -> R {
-        self.inner.costs.charge_copy(bytes);
-        self.ecall(f)
-    }
-
     /// Run `f` in the untrusted domain (an OCall), charging exit and
     /// re-entry, plus a boundary copy of `bytes` for the marshalled
     /// arguments.
