@@ -89,9 +89,18 @@ pub mod failpoints {
     pub const WAL_TRUNCATE: &str = "pos.wal.truncate";
 }
 
-/// CRC64 (ECMA-182, reflected) lookup table, built at compile time.
-const CRC64_TABLE: [u64; 256] = {
-    let mut table = [0u64; 256];
+/// CRC64 (ECMA-182, reflected) lookup tables, built at compile time.
+///
+/// `CRC64_TABLES[0]` is the classic byte table: entry `i` is the register
+/// after shifting the byte `i` through eight zero bits. `CRC64_TABLES[k]`
+/// is the same byte followed by `k` further zero *bytes*
+/// (`T[k][i] = T[0][T[k-1][i] & 0xFF] ^ (T[k-1][i] >> 8)`). The CRC is
+/// linear over GF(2), so the register after sixteen input bytes is the
+/// XOR of each byte's contribution shifted through the bytes that follow
+/// it — sixteen independent lookups instead of a sixteen-deep dependency
+/// chain, which is all [`crc64`] changes about the byte loop.
+static CRC64_TABLES: [[u64; 256]; 16] = {
+    let mut tables = [[0u64; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u64;
@@ -104,24 +113,104 @@ const CRC64_TABLE: [u64; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC64 (ECMA-182, reflected) of `data` — the checksum sealed into
-/// store images. Exposed so tools and tests can re-frame tampered images.
-pub fn crc64(data: &[u8]) -> u64 {
-    let mut crc = !0u64;
+/// One byte through the register: the loop the sliced kernel is
+/// equivalent to, and its tail.
+fn crc64_bytes(mut crc: u64, data: &[u8]) -> u64 {
     for &b in data {
-        crc = CRC64_TABLE[((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
+        crc = CRC64_TABLES[0][((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
+}
+
+/// CRC64 (ECMA-182, reflected) of `data` — the checksum sealed into
+/// store images and delta-log frames. Exposed so tools and tests can
+/// re-frame tampered images.
+///
+/// Sixteen bytes per step (slice-by-16): the register is folded into the
+/// first of two little-endian words, then every byte of both words is
+/// looked up in the table for its distance from the end of the block.
+/// Bit-identical to the byte-at-a-time loop on every input.
+pub fn crc64(data: &[u8]) -> u64 {
+    let t = &CRC64_TABLES;
+    let mut crc = !0u64;
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        let (lo, hi) = block.split_at(8);
+        let a = u64::from_le_bytes(lo.try_into().expect("8 bytes")) ^ crc;
+        let b = u64::from_le_bytes(hi.try_into().expect("8 bytes"));
+        // Byte `k` of `a` has fifteen minus `k` bytes behind it in the
+        // block, byte `k` of `b` seven minus `k`.
+        crc = 0;
+        for k in 0..8 {
+            crc ^=
+                t[15 - k][(a >> (8 * k)) as u8 as usize] ^ t[7 - k][(b >> (8 * k)) as u8 as usize];
+        }
+    }
+    !crc64_bytes(crc, blocks.remainder())
 }
 
 fn injected(site: &'static str) -> PosError {
     PosError::Io(std::io::Error::other(format!("fault injected at {site}")))
+}
+
+/// Seal `image` with its CRC64 trailer.
+pub(crate) fn append_checksum(image: &mut Vec<u8>) {
+    let crc = crc64(image);
+    image.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Replace the file at `path` with `image`: `<path>.tmp`, fsync, rename,
+/// directory sync, each step behind its `pos.persist.*` failpoint.
+pub(crate) fn write_image(path: &Path, image: &[u8], faults: &FaultPlan) -> Result<(), PosError> {
+    let mut tmp_name = path.as_os_str().to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp_name);
+
+    if faults.should_fail(failpoints::PERSIST_CREATE) {
+        return Err(injected(failpoints::PERSIST_CREATE));
+    }
+    let mut f = std::fs::File::create(&tmp)?;
+    if faults.should_fail(failpoints::PERSIST_WRITE) {
+        // Simulate a crash mid-write: half the image reaches the tmp
+        // file, the target is untouched.
+        f.write_all(&image[..image.len() / 2])?;
+        let _ = f.sync_all();
+        return Err(injected(failpoints::PERSIST_WRITE));
+    }
+    f.write_all(image)?;
+    if faults.should_fail(failpoints::PERSIST_SYNC) {
+        return Err(injected(failpoints::PERSIST_SYNC));
+    }
+    f.sync_all()?;
+    drop(f);
+    if faults.should_fail(failpoints::PERSIST_RENAME) {
+        return Err(injected(failpoints::PERSIST_RENAME));
+    }
+    std::fs::rename(&tmp, path)?;
+    // Make the rename itself durable (best effort — some filesystems
+    // do not support fsync on directories).
+    if let Some(dir) = path.parent() {
+        if let Ok(d) = std::fs::File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(())
 }
 
 struct Cursor<'a> {
@@ -164,6 +253,17 @@ impl PosStore {
     /// Serialise the whole store into a byte image (checksummed, and
     /// tagged when the store is encrypted).
     pub fn to_image(&self) -> Vec<u8> {
+        let mut out = self.image_body();
+        append_checksum(&mut out);
+        out
+    }
+
+    /// The image without its CRC64 trailer: one pass over the region,
+    /// nothing else. This is the part of a snapshot that has to see the
+    /// store standing still (the WAL's compaction holds its cut only
+    /// across this copy); [`append_checksum`] and the file I/O need the
+    /// bytes, not the store.
+    pub(crate) fn image_body(&self) -> Vec<u8> {
         let entries = self.capacity();
         let payload = self.payload_size();
         let stacks = self.stack_heads();
@@ -207,8 +307,6 @@ impl PosStore {
         if let Some(tag) = self.superblock_tag(&out[..superblock_end]) {
             out.extend_from_slice(&tag.to_le_bytes());
         }
-        let crc = crc64(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
         out
     }
 
@@ -219,8 +317,12 @@ impl PosStore {
     /// any point leaves `path` holding either the previous image or the
     /// new one, never a torn mix.
     ///
-    /// Quiesce writers first for a consistent image; concurrent readers
-    /// are harmless.
+    /// The image is read off the live region field by field, so it is a
+    /// consistent cut only if nothing mutates or reclaims meanwhile:
+    /// quiescing writers and cleaners is the caller's job for a bare
+    /// `persist` (concurrent readers are harmless). A WAL-backed store
+    /// needs no such care — [`PosStore::wal_sync`] takes its own cut when
+    /// it compacts.
     ///
     /// # Errors
     ///
@@ -236,41 +338,7 @@ impl PosStore {
     ///
     /// [`PosError::Io`] on filesystem failure or an injected fault.
     pub fn persist_with(&self, path: impl AsRef<Path>, faults: &FaultPlan) -> Result<(), PosError> {
-        let path = path.as_ref();
-        let image = self.to_image();
-        let mut tmp_name = path.as_os_str().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp_name);
-
-        if faults.should_fail(failpoints::PERSIST_CREATE) {
-            return Err(injected(failpoints::PERSIST_CREATE));
-        }
-        let mut f = std::fs::File::create(&tmp)?;
-        if faults.should_fail(failpoints::PERSIST_WRITE) {
-            // Simulate a crash mid-write: half the image reaches the tmp
-            // file, the target is untouched.
-            f.write_all(&image[..image.len() / 2])?;
-            let _ = f.sync_all();
-            return Err(injected(failpoints::PERSIST_WRITE));
-        }
-        f.write_all(&image)?;
-        if faults.should_fail(failpoints::PERSIST_SYNC) {
-            return Err(injected(failpoints::PERSIST_SYNC));
-        }
-        f.sync_all()?;
-        drop(f);
-        if faults.should_fail(failpoints::PERSIST_RENAME) {
-            return Err(injected(failpoints::PERSIST_RENAME));
-        }
-        std::fs::rename(&tmp, path)?;
-        // Make the rename itself durable (best effort — some filesystems
-        // do not support fsync on directories).
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        write_image(path.as_ref(), &self.to_image(), faults)
     }
 
     /// Reconstruct a store from a byte image with the default
@@ -484,5 +552,170 @@ impl PosStore {
         let mut data = Vec::new();
         std::fs::File::open(path)?.read_to_end(&mut data)?;
         Self::from_image_with_budget(&data, encryption, budget)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wal::WalConfig;
+
+    /// The definition, one bit at a time, no tables: what `crc64` has to
+    /// equal on every input.
+    fn crc64_reference(data: &[u8]) -> u64 {
+        let mut crc = !0u64;
+        for &b in data {
+            crc ^= b as u64;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xC96C_5795_D787_0F42
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    fn seeded(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc64_is_the_bytewise_function() {
+        // CRC-64/XZ check value.
+        assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
+        assert_eq!(crc64(b""), 0);
+        // Every split of head block / whole blocks / tail, at every
+        // alignment of the loads.
+        let buf = seeded(96);
+        for offset in 0..=15 {
+            for len in 0..=80 {
+                let data = &buf[offset..offset + len];
+                assert_eq!(
+                    crc64(data),
+                    crc64_reference(data),
+                    "len {len} at offset {offset}"
+                );
+            }
+        }
+        let big = seeded(1 << 20);
+        assert_eq!(crc64(&big), crc64_reference(&big));
+        assert_eq!(crc64(&big[3..]), crc64_reference(&big[3..]));
+    }
+
+    /// Image and log written by the commit before the sliced kernel
+    /// (8 entries × 16 B, 2 stacks, plaintext): `a=1`, `b=2`, sync, image,
+    /// then `a=3`, delete `b`, `c=4`, sync.
+    const GOLDEN_IMAGE: [u8; 373] = [
+        0x31, 0x30, 0x56, 0x53, 0x4f, 0x50, 0x41, 0x45, 0x02, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00,
+        0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+        0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0x01, 0x4b, 0xce, 0xb3, 0xe3, 0x3e,
+        0x1f, 0xd8, 0x3b, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff,
+        0x01, 0xfe, 0xcf, 0xb3, 0xe3, 0x3e, 0x20, 0xd8, 0x3b, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00,
+        0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x61, 0x31, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x62, 0x32, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xcd, 0xa4, 0x48, 0xcc, 0xbc, 0x32, 0xba, 0xd6,
+    ];
+    const GOLDEN_LOG: [u8; 187] = [
+        0x31, 0x30, 0x57, 0x53, 0x4f, 0x50, 0x41, 0x45, 0x01, 0x00, 0x00, 0x00, 0x00, 0x17, 0x00,
+        0x00, 0x00, 0x80, 0x1c, 0x25, 0x1a, 0x3a, 0x96, 0x22, 0xdc, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+        0x00, 0x61, 0x31, 0x17, 0x00, 0x00, 0x00, 0x35, 0xc2, 0x8b, 0xce, 0xbb, 0xbb, 0xe3, 0x23,
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x62, 0x32, 0x17, 0x00, 0x00, 0x00, 0xf7, 0xd9, 0x15,
+        0x86, 0xd0, 0x1b, 0x07, 0xa2, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x61, 0x33, 0x16, 0x00,
+        0x00, 0x00, 0xeb, 0x0f, 0xf1, 0xab, 0x3b, 0xfc, 0xba, 0xce, 0x03, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x00,
+        0x00, 0x62, 0x17, 0x00, 0x00, 0x00, 0x1b, 0x2b, 0x42, 0x98, 0x75, 0x32, 0x95, 0x3a, 0x04,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x01, 0x00, 0x00, 0x00, 0x63, 0x34,
+    ];
+
+    fn golden_geometry() -> PosConfig {
+        PosConfig {
+            entries: 8,
+            payload: 16,
+            stacks: 2,
+            encryption: None,
+        }
+    }
+
+    fn golden_files(tag: &str) -> WalConfig {
+        let dir = std::env::temp_dir().join(format!("pos-golden-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        WalConfig::in_dir(&dir, "g")
+    }
+
+    #[test]
+    fn files_written_before_the_sliced_kernel_still_open() {
+        let files = golden_files("read");
+        std::fs::write(&files.image_path, GOLDEN_IMAGE).unwrap();
+        std::fs::write(&files.log_path, GOLDEN_LOG).unwrap();
+        let store = PosStore::open_wal(files.clone(), golden_geometry(), 1 << 20).unwrap();
+        let r = store.register_reader();
+        let mut buf = [0u8; 16];
+        assert_eq!(store.get(&r, b"a", &mut buf).unwrap(), Some(1));
+        assert_eq!(buf[0], b'3');
+        assert_eq!(store.get(&r, b"b", &mut buf).unwrap(), None);
+        assert_eq!(store.get(&r, b"c", &mut buf).unwrap(), Some(1));
+        assert_eq!(buf[0], b'4');
+        // Nothing was torn: all five records were taken.
+        assert_eq!(store.wal_log_bytes(), GOLDEN_LOG.len() as u64);
+
+        // The image alone is the state at its cut.
+        let image = PosStore::from_image(&GOLDEN_IMAGE, None).unwrap();
+        let r = image.register_reader();
+        assert_eq!(image.get(&r, b"a", &mut buf).unwrap(), Some(1));
+        assert_eq!(buf[0], b'1');
+        assert_eq!(image.get(&r, b"b", &mut buf).unwrap(), Some(1));
+        assert_eq!(image.get(&r, b"c", &mut buf).unwrap(), None);
+    }
+
+    #[test]
+    fn the_same_history_writes_the_same_bytes() {
+        // The other direction: what this commit writes is, byte for byte,
+        // what the earlier reader was given.
+        let files = golden_files("write");
+        let store = PosStore::open_wal(files.clone(), golden_geometry(), 1 << 20).unwrap();
+        let r = store.register_reader();
+        let faults = FaultPlan::new();
+        store.set(&r, b"a", b"1").unwrap();
+        store.set(&r, b"b", b"2").unwrap();
+        store.wal_sync(&faults).unwrap();
+        store.persist(&files.image_path).unwrap();
+        store.set(&r, b"a", b"3").unwrap();
+        store.delete(&r, b"b").unwrap();
+        store.set(&r, b"c", b"4").unwrap();
+        store.wal_sync(&faults).unwrap();
+        assert_eq!(std::fs::read(&files.image_path).unwrap(), GOLDEN_IMAGE);
+        assert_eq!(std::fs::read(&files.log_path).unwrap(), GOLDEN_LOG);
     }
 }

@@ -850,6 +850,13 @@ impl PosStore {
         self.dirty.load(Ordering::Acquire)
     }
 
+    /// Hold off every reclaim ([`PosStore::clean`] serialises on this
+    /// lock). The WAL's compaction takes it, then the pending lock, around
+    /// its snapshot — the lock order is cleaner → pending.
+    pub(crate) fn lock_cleaner(&self) -> std::sync::MutexGuard<'_, ()> {
+        self.cleaner_lock.lock()
+    }
+
     pub(crate) fn cipher(&self) -> Option<&SessionCipher> {
         self.cipher.as_ref()
     }

@@ -33,16 +33,28 @@
 //!   recovery). A record whose CRC matches but whose seal fails to
 //!   authenticate is a tamper (or wrong key), not a crash, and rejects
 //!   the whole log.
+//!   Replay is two passes — *verify everything, apply the newest*: every
+//!   record up to the torn tail goes through every check before anything
+//!   is applied, then only the last record of each key is (a key's
+//!   earlier records only build versions the closing clean frees). Any
+//!   prefix of the log recovers to the state record-by-record replay
+//!   gives; a store without a free entry for every surviving record is
+//!   replayed record by record.
 //! * Compaction orders image-then-truncate: the new image becomes durable
 //!   via the tmp/fsync/rename path *before* the log is reset. A crash in
 //!   between leaves the new image plus the full log — replay is
 //!   idempotent (same records, same order), so recovery lands on the new
 //!   state, never a mix.
+//! * The compaction image is one cut of the store: the region is copied
+//!   with the store's cleaner lock and this log's pending lock held (in
+//!   that order), so no reclaim and no mutation runs beside the copy;
+//!   checksum and file I/O happen after both are released.
 //!
 //! Every filesystem step consults the [`crate::failpoints`] sites
 //! (`pos.wal.*` plus the `pos.persist.*` sites during compaction) on a
 //! [`sgx_sim::FaultPlan`], so crash tests can kill the sync anywhere.
 
+use std::collections::HashSet;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +65,7 @@ use sgx_sim::sync::Mutex;
 use sgx_sim::FaultPlan;
 
 use crate::error::PosError;
-use crate::persist::{crc64, failpoints};
+use crate::persist::{append_checksum, crc64, failpoints, write_image};
 use crate::store::{PosConfig, PosStore};
 
 /// Log file magic ("EAPOSW01").
@@ -105,6 +117,9 @@ impl WalConfig {
 pub(crate) struct Pending {
     buf: Vec<u8>,
     records: u64,
+    /// Plaintext body of the record being sealed (encrypted stores only);
+    /// kept so a mutation allocates nothing once it has grown.
+    plain: Vec<u8>,
 }
 
 /// Durable-file bookkeeping; only the (single) syncing thread takes this
@@ -166,6 +181,7 @@ impl Wal {
             pending: Mutex::new(Pending {
                 buf: Vec::new(),
                 records: 0,
+                plain: Vec::new(),
             }),
             file: Mutex::new(DurableLog {
                 bytes,
@@ -191,27 +207,34 @@ impl Wal {
         value: &[u8],
     ) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut body = Vec::with_capacity(BODY_FIXED + key.len() + value.len());
-        body.extend_from_slice(&seq.to_le_bytes());
-        body.extend_from_slice(&epoch.to_le_bytes());
-        body.push(if tombstone { KIND_DELETE } else { KIND_SET });
-        body.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        body.extend_from_slice(key);
-        body.extend_from_slice(value);
-        let body = match cipher {
-            Some(c) => {
-                let mut sealed = vec![0u8; SessionCipher::sealed_len(body.len())];
-                let n = c.seal(&body, &mut sealed).expect("seal into sized buffer");
-                sealed.truncate(n);
-                sealed
-            }
-            None => body,
+        let (buf, plain) = (&mut pending.buf, &mut pending.plain);
+        let encode = |out: &mut Vec<u8>| {
+            out.extend_from_slice(&seq.to_le_bytes());
+            out.extend_from_slice(&epoch.to_le_bytes());
+            out.push(if tombstone { KIND_DELETE } else { KIND_SET });
+            out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            out.extend_from_slice(key);
+            out.extend_from_slice(value);
         };
-        pending
-            .buf
-            .extend_from_slice(&(body.len() as u32).to_le_bytes());
-        pending.buf.extend_from_slice(&crc64(&body).to_le_bytes());
-        pending.buf.extend_from_slice(&body);
+        // Reserve the frame, put the body behind it (sealed straight into
+        // the buffer's tail when encrypted), then fill the frame in.
+        let frame_at = buf.len();
+        let body_at = frame_at + FRAME_BYTES;
+        buf.resize(body_at, 0);
+        match cipher {
+            Some(c) => {
+                plain.clear();
+                encode(plain);
+                buf.resize(body_at + SessionCipher::sealed_len(plain.len()), 0);
+                c.seal(plain, &mut buf[body_at..])
+                    .expect("seal into sized buffer");
+            }
+            None => encode(buf),
+        }
+        let body_len = (buf.len() - body_at) as u32;
+        let crc = crc64(&buf[body_at..]);
+        buf[frame_at..frame_at + 4].copy_from_slice(&body_len.to_le_bytes());
+        buf[frame_at + 4..body_at].copy_from_slice(&crc.to_le_bytes());
         pending.records += 1;
     }
 
@@ -329,9 +352,21 @@ impl Wal {
         let mut compacted = 0u64;
         let payload = st.bytes.saturating_sub(self.header_len);
         if payload >= self.config.compact_bytes {
+            // The snapshot must be one cut of the store: with reclaim held
+            // off (cleaner lock) and mutation held off (every `set`/`delete`
+            // of a WAL-backed store runs under the pending lock), heads,
+            // headers, payloads, free list and retired list all describe
+            // the same instant. Lock order cleaner → pending; both are held
+            // for the region copy only — checksum and file I/O come after.
+            let mut image = {
+                let _no_reclaim = store.lock_cleaner();
+                let _no_mutation = self.pending.lock();
+                store.image_body()
+            };
+            append_checksum(&mut image);
             // Image first (old-or-new via tmp/fsync/rename), truncate
             // second; a crash in between is healed by idempotent replay.
-            store.persist_with(&self.config.image_path, faults)?;
+            write_image(&self.config.image_path, &image, faults)?;
             if faults.should_fail(failpoints::WAL_TRUNCATE) {
                 return Err(injected(failpoints::WAL_TRUNCATE));
             }
@@ -351,8 +386,25 @@ impl Wal {
     }
 }
 
+/// One authenticated record awaiting replay: where its key and value lie
+/// in the staged plaintext.
+struct Staged {
+    delete: bool,
+    /// No later record names the same key.
+    newest: bool,
+    key_at: usize,
+    value_at: usize,
+    end: usize,
+}
+
 /// Replay the delta log over a freshly restored store. Returns
 /// `(next_seq, durable_bytes, created)`.
+///
+/// Two passes: *verify everything, apply the newest*. Every record up to
+/// the torn tail is checked exactly as a record-by-record replay checks
+/// it (frame, CRC, seal, body shape, strictly increasing sequence) before
+/// anything is applied; then only the last record of each key is. Being
+/// shadowed by a later record does not excuse a record from any check.
 fn replay_log(
     store: &Arc<PosStore>,
     config: &WalConfig,
@@ -402,10 +454,24 @@ fn replay_log(
             _ => return Err(PosError::Corrupt("log header authentication failed")),
         }
     }
-    let reader = store.register_reader();
+    // Pass one — verify everything. Walk the frames in order; every
+    // CRC-whole record is authenticated and its plaintext staged, nothing
+    // is applied yet.
+    let mut staged: Vec<Staged> = Vec::new();
+    // Opened bodies of an encrypted log, back to back (a plaintext log's
+    // records are read where they lie). Plaintext is shorter than its
+    // seal, so the log's length bounds it and the arena never regrows.
+    let mut arena = vec![
+        0u8;
+        if store.encrypted() {
+            data.len() - header_len
+        } else {
+            0
+        }
+    ];
+    let mut arena_len = 0;
     let mut pos = header_len;
     let mut last_seq: Option<u64> = None;
-    let mut plain = Vec::new();
     while pos < data.len() {
         let rest = &data[pos..];
         if rest.len() < FRAME_BYTES {
@@ -416,20 +482,22 @@ fn replay_log(
         if body_len > rest.len() - FRAME_BYTES {
             break; // torn body
         }
-        let body = &rest[FRAME_BYTES..FRAME_BYTES + body_len];
+        let body_at = pos + FRAME_BYTES;
+        let body = &data[body_at..body_at + body_len];
         if crc64(body) != stored_crc {
             break; // torn tail
         }
         // From here on the record is CRC-whole, so any defect is tamper
         // (or a wrong key), not a crash: reject rather than truncate.
-        let plain_body: &[u8] = match store.cipher() {
+        let (at, plain_body) = match store.cipher() {
             Some(c) => {
-                plain.resize(body.len().saturating_sub(SEAL_OVERHEAD), 0);
-                c.open(body, &mut plain)
+                let at = arena_len;
+                arena_len += body_len.saturating_sub(SEAL_OVERHEAD);
+                c.open(body, &mut arena[at..arena_len])
                     .map_err(|_| PosError::Corrupt("log record authentication failed"))?;
-                &plain
+                (at, &arena[at..arena_len])
             }
-            None => body,
+            None => (body_at, body),
         };
         if plain_body.len() < BODY_FIXED {
             return Err(PosError::Corrupt("log record too short"));
@@ -448,10 +516,39 @@ fn replay_log(
             return Err(PosError::Corrupt("log sequence regressed"));
         }
         last_seq = Some(seq);
-        let key = &plain_body[BODY_FIXED..BODY_FIXED + klen];
-        let value = &plain_body[BODY_FIXED + klen..];
+        staged.push(Staged {
+            delete: kind == KIND_DELETE,
+            newest: false,
+            key_at: at + BODY_FIXED,
+            value_at: at + BODY_FIXED + klen,
+            end: at + plain_body.len(),
+        });
+        pos = body_at + body_len;
+    }
+    let plain: &[u8] = if store.encrypted() { &arena } else { &data };
+
+    // Which records survive: the last one of each key. A key's earlier
+    // records only build versions the final clean throws away, and keys
+    // do not interact, so applying the survivors in log order leaves every
+    // key reading what applying all of them would. The one thing the
+    // skipped records can change is how many entries are in use along the
+    // way (a skipped delete would have made room), so the short cut is
+    // taken only when it cannot run out: a free entry for every survivor.
+    // A store fuller than that replays record by record.
+    let mut keys = HashSet::with_capacity(staged.len());
+    for rec in staged.iter_mut().rev() {
+        rec.newest = keys.insert(&plain[rec.key_at..rec.value_at]);
+    }
+    let newest_only = store.free_entries() >= keys.len() as u64;
+    drop(keys);
+
+    // Pass two — apply, in log order.
+    let reader = store.register_reader();
+    for rec in staged.iter().filter(|rec| rec.newest || !newest_only) {
+        let key = &plain[rec.key_at..rec.value_at];
+        let value = &plain[rec.value_at..rec.end];
         let apply = |store: &PosStore| {
-            if kind == KIND_DELETE {
+            if rec.delete {
                 store.delete(&reader, key)
             } else {
                 store.set(&reader, key, value)
@@ -466,7 +563,6 @@ fn replay_log(
             }
             r => r?,
         }
-        pos += FRAME_BYTES + body_len;
     }
     if pos < data.len() {
         // Truncate the torn tail so later appends land after a clean

@@ -478,3 +478,220 @@ fn soak_never_leaves_tmp_debris_that_validates() {
         );
     }
 }
+
+// ---- newest-wins replay is sequential replay ------------------------------
+
+/// Key space of the duplicate-heavy logs.
+const DUP_KEYS: usize = 8;
+
+/// xorshift64*: the generator behind the duplicate-heavy histories.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+}
+
+/// `n` sets and deletes (one in four) over [`DUP_KEYS`] keys, skewed so a
+/// few keys take most of the records.
+fn duplicate_heavy_ops(seed: u64, n: usize) -> Vec<(String, Option<String>)> {
+    let mut rng = Rng(seed | 1);
+    (0..n)
+        .map(|i| {
+            let pick = rng.next() as usize;
+            let key = format!("key{}", (pick % DUP_KEYS) * (pick >> 8 & 1));
+            let value = (rng.next() % 4 != 0).then(|| format!("s{seed}v{i}"));
+            (key, value)
+        })
+        .collect()
+}
+
+fn dup_geometry(entries: u32, sealed_with: Option<&[u64]>) -> PosConfig {
+    PosConfig {
+        entries,
+        payload: 128,
+        stacks: 4,
+        encryption: sealed_with.map(encryption),
+    }
+}
+
+/// Apply `ops` to a live store, one sync per record so every record
+/// boundary is a durable point; returns the log's length after each.
+fn write_history(store: &Arc<PosStore>, ops: &[(String, Option<String>)]) -> Vec<u64> {
+    let r = store.register_reader();
+    let faults = FaultPlan::new();
+    ops.iter()
+        .map(|(k, v)| {
+            match v {
+                Some(v) => store.set(&r, k.as_bytes(), v.as_bytes()).unwrap(),
+                None => store.delete(&r, k.as_bytes()).unwrap(),
+            }
+            // Room for the next version even in the tightest geometry.
+            store.clean_to_quiescence();
+            store.wal_sync(&faults).unwrap().log_bytes
+        })
+        .collect()
+}
+
+/// One duplicate-heavy history, cut everywhere. `base` ops are folded
+/// into the image first (a compaction), `ops` stay in the log; the log
+/// cut at every byte must reopen to exactly the model after `base` plus
+/// the records that are whole.
+fn every_cut_recovers_the_model_prefix(
+    tag: &str,
+    entries: u32,
+    sealed_with: Option<&[u64]>,
+    base: &[(String, Option<String>)],
+    ops: &[(String, Option<String>)],
+) {
+    let dir = test_dir(tag);
+    let mut cfg = WalConfig::in_dir(&dir, "dup");
+    let open = |cfg: &WalConfig| {
+        PosStore::open_wal(cfg.clone(), dup_geometry(entries, sealed_with), 1 << 24)
+    };
+    if !base.is_empty() {
+        cfg.compact_bytes = 1; // the sync after the last base op compacts
+        write_history(&open(&cfg).unwrap(), base);
+        assert!(cfg.image_path.exists(), "base history must reach the image");
+    }
+    cfg.compact_bytes = u64::MAX; // `ops` stay in the log
+    let header_len = if sealed_with.is_some() { 13 + 8 } else { 13 };
+    let mut ends = vec![header_len as u64];
+    ends.extend(write_history(&open(&cfg).unwrap(), ops));
+    let log = std::fs::read(&cfg.log_path).unwrap();
+    assert_eq!(*ends.last().unwrap(), log.len() as u64);
+
+    let mut history = base.to_vec();
+    history.extend_from_slice(ops);
+    for cut in 0..=log.len() {
+        std::fs::write(&cfg.log_path, &log[..cut]).unwrap();
+        let store = open(&cfg).unwrap_or_else(|e| panic!("{tag}: cut at {cut}: {e}"));
+        let whole = ends.iter().filter(|&&e| e <= cut as u64).count();
+        let whole = whole.saturating_sub(1);
+        assert_eq!(
+            recovered_state(&store, DUP_KEYS),
+            state_after(&history, base.len() + whole),
+            "{tag}: cut at {cut} ({whole} whole records)"
+        );
+    }
+}
+
+#[test]
+fn duplicate_heavy_logs_cut_anywhere_recover_the_model_prefix() {
+    let fill: Vec<_> = (0..DUP_KEYS)
+        .map(|k| (format!("key{k}"), Some(format!("base{k}"))))
+        .collect();
+    for (seed, sealed_with) in [(1u64, None), (2, Some(&[5u64, 5][..]))] {
+        let kind = if sealed_with.is_some() {
+            "enc"
+        } else {
+            "plain"
+        };
+        let ops = duplicate_heavy_ops(seed, 24);
+        // Roomy, log only: the newest record of each key is all that is
+        // applied.
+        every_cut_recovers_the_model_prefix(&format!("dup-log-{kind}"), 64, sealed_with, &[], &ops);
+        // Roomy, over an image that holds every key: image values are
+        // shadowed by newest sets and newest deletes alike.
+        every_cut_recovers_the_model_prefix(
+            &format!("dup-img-{kind}"),
+            64,
+            sealed_with,
+            &fill,
+            &ops,
+        );
+        // Ten entries under eight live keys: record-by-record replay runs
+        // out of entries and has to clean its way through.
+        every_cut_recovers_the_model_prefix(
+            &format!("dup-tight-{kind}"),
+            10,
+            sealed_with,
+            &fill,
+            &ops,
+        );
+    }
+}
+
+#[test]
+fn a_newest_delete_hides_the_value_the_image_holds() {
+    let dir = test_dir("newest-delete");
+    let mut cfg = WalConfig::in_dir(&dir, "nd");
+    cfg.compact_bytes = 1;
+    let base = [
+        ("gone".to_owned(), Some("in-image".to_owned())),
+        ("back".to_owned(), Some("in-image".to_owned())),
+    ];
+    write_history(
+        &PosStore::open_wal(cfg.clone(), geometry(), 1 << 24).unwrap(),
+        &base,
+    );
+    cfg.compact_bytes = u64::MAX;
+    let ops = [
+        ("gone".to_owned(), Some("rewritten".to_owned())),
+        ("back".to_owned(), None),
+        ("gone".to_owned(), None),
+        ("back".to_owned(), Some("again".to_owned())),
+        ("never".to_owned(), None),
+    ];
+    write_history(
+        &PosStore::open_wal(cfg.clone(), geometry(), 1 << 24).unwrap(),
+        &ops,
+    );
+
+    let image = PosStore::from_image(&std::fs::read(&cfg.image_path).unwrap(), None).unwrap();
+    let r = image.register_reader();
+    let mut buf = [0u8; 32];
+    assert_eq!(image.get(&r, b"gone", &mut buf).unwrap(), Some(8));
+
+    let store = PosStore::open_wal(cfg, geometry(), 1 << 24).unwrap();
+    let r = store.register_reader();
+    assert_eq!(store.get(&r, b"gone", &mut buf).unwrap(), None);
+    assert_eq!(store.get(&r, b"never", &mut buf).unwrap(), None);
+    assert_eq!(store.get(&r, b"back", &mut buf).unwrap(), Some(5));
+    assert_eq!(&buf[..5], b"again");
+}
+
+#[test]
+fn a_tampered_superseded_record_still_fails_the_open() {
+    let dir = test_dir("shadowed");
+    let cfg = WalConfig::in_dir(&dir, "sh");
+    let sealed_with = [3u64, 1, 4];
+    let open = || PosStore::open_wal(cfg.clone(), dup_geometry(64, Some(&sealed_with)), 1 << 24);
+    let ops = [
+        ("k".to_owned(), Some("first".to_owned())),
+        ("k".to_owned(), Some("second".to_owned())),
+        ("k".to_owned(), Some("third".to_owned())),
+    ];
+    let ends = write_history(&open().unwrap(), &ops);
+    let log = std::fs::read(&cfg.log_path).unwrap();
+
+    // Break the seal of the first and of the second record — both are
+    // shadowed by the third — and refresh the frame CRC so only the
+    // authentication can notice.
+    let header_len = 13 + 8;
+    for frame_at in [header_len, ends[0] as usize] {
+        let body_at = frame_at + 12;
+        let body_len = u32::from_le_bytes(log[frame_at..frame_at + 4].try_into().unwrap()) as usize;
+        let mut forged = log.clone();
+        forged[body_at + body_len / 2] ^= 0x01;
+        let crc = crc64(&forged[body_at..body_at + body_len]);
+        forged[frame_at + 4..body_at].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&cfg.log_path, &forged).unwrap();
+        let err = open().unwrap_err();
+        assert!(
+            matches!(err, PosError::Corrupt("log record authentication failed")),
+            "a shadowed record is still checked, got {err:?}"
+        );
+    }
+    // Untouched, the same log opens to the newest value.
+    std::fs::write(&cfg.log_path, &log).unwrap();
+    let store = open().unwrap();
+    let r = store.register_reader();
+    let mut buf = [0u8; 32];
+    assert_eq!(store.get(&r, b"k", &mut buf).unwrap(), Some(5));
+    assert_eq!(&buf[..5], b"third");
+}
